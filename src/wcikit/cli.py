@@ -44,32 +44,17 @@ def _emit_report_text(report: dict, skip=("strata",)) -> None:
 
 def check_report(family: WciFamily) -> dict:
     """The full predicate report of one family, with nulls where undefined."""
-    cone = wci.is_linear_cone(family)
-    space_wf = family.nvars >= 2 and wci.space_well_formed(family.weights)
-    wf = bool(space_wf and wci.wci_well_formed(family))
-    qs_report = wci.quasi_smooth(family) if not cone else None
-    qs = qs_report.verdict if qs_report is not None else None
-    geometric = (not cone) and wf and qs is True
-    delta = wci.canonical_degree(family)
-    smooth = None
-    kind = None
-    index = None
-    if geometric:
-        smooth = not any(
-            wci._meets(family, W) for W, _g, _k in wci._gcd_subsets(family)
-        )
-        index = wci._index_value(family)
-        if family.codim >= 1:
-            kind = "fano" if delta < 0 else ("calabi_yau" if delta == 0 else "general")
+    qs_report = None if wci.is_linear_cone(family) else wci.quasi_smooth(family)
+    geo = wci._annotate(family, qs_report.verdict if qs_report is not None else None)
     return {
         "family": family.encode(),
-        "well_formed": wf,
-        "quasi_smooth": qs,
-        "smooth": smooth,
-        "linear_cone": cone,
-        "delta": delta,
-        "type": kind,
-        "fundamental_index": index,
+        "well_formed": geo.well_formed,
+        "quasi_smooth": geo.quasi_smooth,
+        "smooth": geo.smooth,
+        "linear_cone": geo.linear_cone,
+        "delta": wci.canonical_degree(family),
+        "type": geo.kind,
+        "fundamental_index": geo.index,
         "strata": [s.as_dict() for s in qs_report.strata] if qs_report is not None else None,
     }
 
@@ -241,8 +226,7 @@ def _cmd_verify(args) -> int:
             ("witness", report.equality_witnesses),
         ):
             for entry in entries:
-                enc = entry.get("pair") or entry.get("family") or entry.get("weights") or ""
-                writer.writerow([label, enc, json.dumps(entry, sort_keys=True)])
+                writer.writerow([label, *verify._entry_key(entry)])
     else:
         _print(f"claim: {report.claim}")
         _print(f"checked: {report.instances_checked}")

@@ -68,9 +68,7 @@ def section_dim(family: WciFamily, k: int) -> tuple[int, bool]:
     """(h0, formal) where formal means the geometric identification of the
     coefficient with a section count is not backed by the preconditions
     (quasi-smooth + well-formed, not a linear cone)."""
-    cone, space_wf, wf, qs = _geometry(family)
-    formal = not (space_wf and wf is True and not cone and qs is True)
-    return h0(family, k), formal
+    return h0(family, k), not _geometry(family).geometric
 
 
 def nonvanishing(family: WciFamily, k: int) -> bool:

@@ -8,7 +8,9 @@ by canonical encoding, so output is byte-identical for any worker count.
 Regularity is decided wholesale: a weight tuple induces requirements
 (g -> minimum count of degrees divisible by g), degree multisets are
 pre-grouped by their divisibility signature, and only matching groups are
-visited.  Amplitude thresholds then reduce to bisection on per-group sums.
+visited; every entry of a matched group is then compared with the claim's
+amplitude threshold.  Only the nonvanishing claim bisects: its degree
+multisets are sorted by sum per codimension, so delta <= 0 is a prefix.
 """
 
 from __future__ import annotations
@@ -30,15 +32,14 @@ from .errors import BoundsExceededError, UsageError
 from .pairs import Pair, _encode_run_length, is_regular
 from .wci import (
     WciFamily,
-    _gcd_subsets,
-    _index_value,
-    _meets,
+    _geometry,
+    _index,
+    _smooth,
+    _well_formed_rows,
     base_locus,
     canonical_degree,
-    is_linear_cone,
     is_quasi_smooth,
     space_well_formed,
-    wci_well_formed,
 )
 
 DEFAULT_CEILING = 10**8
@@ -364,7 +365,7 @@ def _part_nonvanishing(bounds: SearchBounds, q, first: int):
     cex: list[dict] = []
     wits: list[dict] = []
     for weights in _tuples_with_first(first, values, 2, bounds.max_vars):
-        if not space_well_formed_cached(weights):
+        if not space_well_formed(weights):
             continue
         sum_a = sum(weights)
         value_set = set(weights)
@@ -376,17 +377,18 @@ def _part_nonvanishing(bounds: SearchBounds, q, first: int):
                 if not value_set.isdisjoint(ds):
                     continue
                 family = WciFamily.of(ds, weights)
-                if not wci_well_formed(family) or not is_quasi_smooth(family):
+                rows = _well_formed_rows(family)
+                if rows is None or not is_quasi_smooth(family):
                     continue
                 checked += 1
                 enc = family.encode()
-                index = _index_value(family)
+                index = _index(rows)
                 if hilbert.h0(family, index) < 1:
                     cex.append(
                         {"family": enc, "check": "nonvanishing", "index": index, "h0": 0}
                     )
-                if any(_meets(family, W) for W, _g, _k in _gcd_subsets(family)):
-                    continue  # not smooth; (b) and (c) do not apply
+                if not _smooth(rows):
+                    continue  # (b) and (c) do not apply
                 c1 = family.weights.multiplicity(1)
                 delta = sums[i] - sum_a
                 if c1 < c:
@@ -412,11 +414,6 @@ def _part_nonvanishing(bounds: SearchBounds, q, first: int):
                         }
                     )
     return checked, cex, wits
-
-
-@lru_cache(maxsize=65536)
-def space_well_formed_cached(weights: tuple[int, ...]) -> bool:
-    return space_well_formed(weights)
 
 
 @lru_cache(maxsize=8)
@@ -465,19 +462,20 @@ def _part_hypersurface(bounds: SearchBounds, q, first: int):
                         }
                     )
         # (b), (c): quasi-smooth well-formed non-cone hypersurfaces
-        if not space_well_formed_cached(weights):
+        if not space_well_formed(weights):
             continue
         value_set = set(weights)
         for f in range(1, bounds.max_degree + 1):
             if f in value_set:
                 continue
             family = WciFamily.of((f,), weights)
-            if not wci_well_formed(family) or not is_quasi_smooth(family):
+            rows = _well_formed_rows(family)
+            if rows is None or not is_quasi_smooth(family):
                 continue
             checked += 1
             enc = family.encode()
             delta = canonical_degree(family)
-            index = _index_value(family)
+            index = _index(rows)
             start = (max(delta, 0) // index + 1) * index  # least multiple > max(delta, 0)
             if start <= bounds.max_degree:
                 coeffs = hilbert.series_coefficients(
@@ -603,6 +601,9 @@ def _claim_partitions(claim: str, bounds: SearchBounds, q) -> list[int]:
 
 
 def _run_claim(claim: str, bounds: SearchBounds, q=None, workers: int | None = None) -> VerifyReport:
+    filters = _family_filters_requested(bounds)
+    if filters:
+        raise UsageError(f"filters {filters} apply only to enumerate_instances, not to {claim}")
     start = perf_counter()
     ceiling = instance_ceiling()
     estimate = _estimate(claim, bounds, q, ceiling)
@@ -679,25 +680,15 @@ def _pair_annotations(ds: tuple[int, ...], weights: tuple[int, ...]) -> dict:
 
 
 def _family_annotations(family: WciFamily) -> dict:
-    cone = is_linear_cone(family)
-    space_wf = space_well_formed_cached(family.weights.expand())
-    wf = bool(space_wf and wci_well_formed(family))
-    qs = is_quasi_smooth(family) if not cone else None
-    delta = canonical_degree(family)
-    smooth = None
-    if not cone and wf and qs:
-        smooth = not any(_meets(family, W) for W, _g, _k in _gcd_subsets(family))
-    kind = None
-    if not cone and wf and qs:
-        kind = "fano" if delta < 0 else ("calabi_yau" if delta == 0 else "general")
+    geo = _geometry(family)
     return {
         "codim": family.codim,
-        "delta": delta,
-        "linear_cone": cone,
-        "well_formed": wf,
-        "quasi_smooth": qs,
-        "smooth": smooth,
-        "kind": kind,
+        "delta": canonical_degree(family),
+        "linear_cone": geo.linear_cone,
+        "well_formed": geo.well_formed,
+        "quasi_smooth": geo.quasi_smooth,
+        "smooth": geo.smooth,
+        "kind": geo.kind,
     }
 
 

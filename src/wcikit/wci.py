@@ -151,18 +151,32 @@ def _repr_over(d: int, values: tuple[int, ...]) -> bool:
     return _membership(values, d)[d]
 
 
-def _value_subsets(values_asc: tuple[int, ...]):
-    """Nonempty subsets of distinct values, ascending tuples in lex order."""
-    chosen: list[int] = []
+def _strata(weights: WeightClasses):
+    """(W, k) per nonempty subset W of distinct values, W an ascending tuple in
+    lex order, k the number of coordinates carrying the values in W."""
+    classes = weights.classes[::-1]
+    stack = [((), 0, 0)]
+    while stack:  # preorder depth-first walk, children pushed last-first
+        W, k, start = stack.pop()
+        if W:
+            yield W, k
+        for i in range(len(classes) - 1, start - 1, -1):
+            v, m = classes[i]
+            stack.append((W + (v,), k + m, i + 1))
 
-    def rec(start: int):
-        for i in range(start, len(values_asc)):
-            chosen.append(values_asc[i])
-            yield tuple(chosen)
-            yield from rec(i + 1)
-            chosen.pop()
 
-    yield from rec(0)
+def _excess(family: WciFamily, W: tuple[int, ...], k: int) -> int | None:
+    """Dimension excess (k - 1) - #representable degrees of the maximal stratum
+    of W, or None when a general member misses it: too many degrees cut it, or
+    one restricts to a single monomial."""
+    rep = [d for d in family.degrees if _repr_over(d, W)]
+    excess = (k - 1) - len(rep)
+    if excess < 0:
+        return None
+    stratum_weights = [v for v, m in family.weights.classes if v in W for _ in range(m)]
+    if any(monomial_count(d, stratum_weights) == 1 for d in rep):
+        return None
+    return excess
 
 
 # -- Q2 selection search --------------------------------------------------------
@@ -352,11 +366,10 @@ def _pure_choices(value_counts: list[tuple[int, int]], l: int):
             yield ((v, take),) + rest if take else rest
 
 
-def _stratum_outcome(family: WciFamily, W: tuple[int, ...], detailed: bool):
-    """Classify one distinct-value stratum as Q1 / Q2 / FAIL."""
+def _stratum_outcome(family: WciFamily, W: tuple[int, ...], k: int, detailed: bool):
+    """Classify one distinct-value stratum (k coordinates) as Q1 / Q2 / FAIL."""
     degrees = family.degrees
     c = len(degrees)
-    k = sum(family.weights.multiplicity(v) for v in W)
     rho = min(c, k)
     pure = [j for j, d in enumerate(degrees) if _repr_over(d, W)]
     if len(pure) >= rho:
@@ -447,12 +460,10 @@ def quasi_smooth(family: WciFamily) -> QsReport:
         raise DomainError("quasi-smoothness undefined for a linear cone")
     if family.codim == 0:
         return QsReport(True, ())
-    values_asc = tuple(sorted(family.weights.values()))
     strata = []
     verdict = True
-    for W in _value_subsets(values_asc):
-        outcome, witness = _stratum_outcome(family, W, detailed=True)
-        k = sum(family.weights.multiplicity(v) for v in W)
+    for W, k in _strata(family.weights):
+        outcome, witness = _stratum_outcome(family, W, k, detailed=True)
         strata.append(StratumCheck(W, k, outcome, witness))
         if outcome == "FAIL":
             verdict = False
@@ -465,41 +476,47 @@ def is_quasi_smooth(family: WciFamily) -> bool:
         raise DomainError("quasi-smoothness undefined for a linear cone")
     if family.codim == 0:
         return True
-    values_asc = tuple(sorted(family.weights.values()))
-    for W in _value_subsets(values_asc):
+    for W, k in _strata(family.weights):
         if W[0] == 1:
             continue  # a unit weight represents every degree, so Q1 holds
-        if _stratum_outcome(family, W, detailed=False)[0] == "FAIL":
+        if _stratum_outcome(family, W, k, detailed=False)[0] == "FAIL":
             return False
     return True
 
 
-# -- well-formedness of the intersection ---------------------------------------
+# -- the singular-stratum walk ----------------------------------------------------
 
 
-def _gcd_subsets(family: WciFamily):
-    """Value subsets with gcd > 1, with (subset, gcd, k) per item, lex order."""
-    values_asc = tuple(sorted(family.weights.values()))
-    for W in _value_subsets(values_asc):
+def _singular_strata(family: WciFamily):
+    """Rows (W, gcd, excess, condition (i) holds) per value subset W with gcd > 1,
+    lex order; excess as in _excess, condition (i) that at least k degrees are
+    divisible by the gcd."""
+    for W, k in _strata(family.weights):
         g = reduce(math.gcd, W)
         if g > 1:
-            k = sum(family.weights.multiplicity(v) for v in W)
-            yield W, g, k
+            cond_i = sum(1 for d in family.degrees if d % g == 0) >= k
+            yield W, g, _excess(family, W, k), cond_i
 
 
-def _stratum_profile(family: WciFamily, W: tuple[int, ...]):
-    """(k, representable degree list) for the maximal stratum of W."""
-    k = sum(family.weights.multiplicity(v) for v in W)
-    rep = [d for d in family.degrees if _repr_over(d, W)]
-    return k, rep
+def _well_formed_rows(family: WciFamily) -> list | None:
+    """The rows of _singular_strata, or None at the first stratum a general
+    member meets in codimension < 2.  The ambient space is not checked."""
+    rows = []
+    for row in _singular_strata(family):
+        excess = row[2]
+        if excess is not None and family.dim - excess < 2:
+            return None
+        rows.append(row)
+    return rows
 
 
-def _meets(family: WciFamily, W: tuple[int, ...]) -> bool:
-    k, rep = _stratum_profile(family, W)
-    if (k - 1) - len(rep) < 0:
-        return False
-    stratum_weights = [v for v, m in family.weights.classes if v in W for _ in range(m)]
-    return all(monomial_count(d, stratum_weights) >= 2 for d in rep)
+def _index(rows) -> int:
+    """lcm of the gcds of the met strata that fail condition (i)."""
+    return math.lcm(*(g for _W, g, excess, cond_i in rows if excess is not None and not cond_i))
+
+
+def _smooth(rows) -> bool:
+    return all(excess is None for _W, _g, excess, _cond_i in rows)
 
 
 def wci_well_formed(family: WciFamily) -> bool:
@@ -507,18 +524,7 @@ def wci_well_formed(family: WciFamily) -> bool:
     at least 2; empty intersections pass vacuously."""
     if not space_well_formed(family.weights):
         raise DomainError("ambient space is not well formed")
-    dim_x = family.dim
-    for W, _g, k in _gcd_subsets(family):
-        rep = [d for d in family.degrees if _repr_over(d, W)]
-        excess = (k - 1) - len(rep)
-        if excess < 0:
-            continue
-        stratum_weights = [v for v, m in family.weights.classes if v in W for _ in range(m)]
-        if any(monomial_count(d, stratum_weights) == 1 for d in rep):
-            continue
-        if dim_x - excess < 2:
-            return False
-    return True
+    return _well_formed_rows(family) is not None
 
 
 def stratum_meets(family: WciFamily, value_subset) -> bool:
@@ -535,32 +541,62 @@ def stratum_meets(family: WciFamily, value_subset) -> bool:
     for v in W:
         if v not in known:
             raise UsageError(f"value {v} is not a weight of this family")
-    return _meets(family, W)
+    k = sum(m for v, m in family.weights.classes if v in W)
+    return _excess(family, W, k) is not None
 
 
 # -- geometric gatekeeping ------------------------------------------------------
 
 
-@lru_cache(maxsize=65536)
-def _geometry(family: WciFamily) -> tuple[bool, bool, bool | None, bool | None]:
-    """(linear_cone, space_wf, wci_wf, quasi_smooth) with None for undefined."""
+@dataclass(frozen=True)
+class Geometry:
+    """The predicates of one family, None where undefined: quasi-smoothness on a
+    linear cone; smoothness, kind and index off the geometric case; kind in
+    codimension 0."""
+
+    linear_cone: bool
+    space_well_formed: bool
+    well_formed: bool
+    quasi_smooth: bool | None
+    smooth: bool | None
+    kind: str | None  # "fano" | "calabi_yau" | "general"
+    index: int | None
+
+    @property
+    def geometric(self) -> bool:
+        return not self.linear_cone and self.well_formed and self.quasi_smooth is True
+
+
+def _annotate(family: WciFamily, qs: bool | None) -> Geometry:
+    """The record of a family from its quasi-smoothness verdict (None on a cone)."""
     cone = is_linear_cone(family)
     space_wf = family.nvars >= 2 and space_well_formed(family.weights)
-    wf = wci_well_formed(family) if space_wf else None
-    qs = is_quasi_smooth(family) if not cone else None
-    return cone, space_wf, wf, qs
+    rows = _well_formed_rows(family) if space_wf else None
+    if cone or rows is None or not qs:
+        return Geometry(cone, space_wf, rows is not None, qs, None, None, None)
+    kind = None
+    if family.codim:
+        delta = canonical_degree(family)
+        kind = "fano" if delta < 0 else ("calabi_yau" if delta == 0 else "general")
+    return Geometry(cone, space_wf, True, qs, _smooth(rows), kind, _index(rows))
 
 
-def _require_geometric(family: WciFamily, op: str):
-    cone, space_wf, wf, qs = _geometry(family)
-    if cone:
+@lru_cache(maxsize=65536)
+def _geometry(family: WciFamily) -> Geometry:
+    return _annotate(family, None if is_linear_cone(family) else is_quasi_smooth(family))
+
+
+def _require_geometric(family: WciFamily, op: str) -> Geometry:
+    geo = _geometry(family)
+    if geo.linear_cone:
         raise DomainError(f"{op}: family is a linear cone")
-    if not space_wf:
+    if not geo.space_well_formed:
         raise DomainError(f"{op}: ambient space is not well formed")
-    if not wf:
+    if not geo.well_formed:
         raise DomainError(f"{op}: family is not well formed")
-    if not qs:
+    if not geo.quasi_smooth:
         raise DomainError(f"{op}: family is not quasi-smooth")
+    return geo
 
 
 # -- index, classification, smoothness ------------------------------------------
@@ -595,26 +631,18 @@ class IndexReport:
 
 
 def _index_value(family: WciFamily) -> int:
-    """The lcm of stratum gcds over met strata failing divisibility; no gate."""
-    index = 1
-    for W, g, k in _gcd_subsets(family):
-        if sum(1 for d in family.degrees if d % g == 0) < k and _meets(family, W):
-            index = math.lcm(index, g)
-    return index
+    """The index over all singular strata; no gate."""
+    return _index(_singular_strata(family))
 
 
 def fundamental_index(family: WciFamily) -> IndexReport:
     """Cartier index of the hyperplane class on a general member."""
-    _require_geometric(family, "fundamental_index")
-    index = 1
-    contributors = []
-    for W, g, k in _gcd_subsets(family):
-        cond_i = sum(1 for d in family.degrees if d % g == 0) >= k
-        meets = _meets(family, W)
-        contributors.append(IndexStratum(W, g, meets, cond_i))
-        if meets and not cond_i:
-            index = math.lcm(index, g)
-    return IndexReport(index, tuple(contributors))
+    index = _require_geometric(family, "fundamental_index").index
+    contributors = tuple(
+        IndexStratum(W, g, excess is not None, cond_i)
+        for W, g, excess, cond_i in _singular_strata(family)
+    )
+    return IndexReport(index, contributors)
 
 
 def canonical_degree(family: WciFamily) -> int:
@@ -636,19 +664,14 @@ def classify(family: WciFamily) -> Classification:
     """Fano / Calabi-Yau / general type by the sign of the canonical degree."""
     if family.codim == 0:
         raise DomainError("classify: the ambient space itself is not classified")
-    _require_geometric(family, "classify")
+    kind = _require_geometric(family, "classify").kind
     d = canonical_degree(family)
-    if d < 0:
-        return Classification("fano", d, -d)
-    if d == 0:
-        return Classification("calabi_yau", d, None)
-    return Classification("general", d, None)
+    return Classification(kind, d, -d if kind == "fano" else None)
 
 
 def is_smooth(family: WciFamily) -> bool:
     """True iff a general member misses every singular stratum of the space."""
-    _require_geometric(family, "is_smooth")
-    return all(not _meets(family, W) for W, _g, _k in _gcd_subsets(family))
+    return _require_geometric(family, "is_smooth").smooth
 
 
 # -- base locus ------------------------------------------------------------------
@@ -675,11 +698,10 @@ def base_locus(family: WciFamily, ell: int) -> list[BaseLocusComponent]:
     if not isinstance(ell, int) or ell < 1:
         raise UsageError(f"ell must be a positive integer, got {ell!r}")
     _require_geometric(family, "base_locus")
-    values_asc = tuple(sorted(family.weights.values()))
     hits = [
         W
-        for W in _value_subsets(values_asc)
-        if not _repr_over(ell, W) and _meets(family, W)
+        for W, k in _strata(family.weights)
+        if not _repr_over(ell, W) and _excess(family, W, k) is not None
     ]
     components = []
     for W in hits:

@@ -156,6 +156,12 @@ def test_hilbert_json_schema(capsys):
     assert report["formal"] is False
     _, out, _ = run_cli(["hilbert", "8,8,8/2^3,3^4,5^3", "4", "--json"], capsys)
     assert json.loads(out)["formal"] is True
+    # a formal series can go negative and still matches the schema
+    _, out, _ = run_cli(["hilbert", "5/2,2", "6", "--json"], capsys)
+    report = json.loads(out)
+    validate("hilbert.json", report)
+    assert report["coefficients"] == [1, 0, 2, 0, 3, -1, 4]
+    assert report["formal"] is True
 
 
 def test_hilbert_negative_k(capsys):

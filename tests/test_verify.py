@@ -117,6 +117,15 @@ def test_report_serialization_shape():
     assert "elapsed_ms" not in report.as_dict(include_elapsed=False)
 
 
+def test_verify_refuses_family_filters():
+    for claim in CLAIMS.values():
+        kwargs = {"q": 2} if claim is verify_lemma_qdiv else {}
+        with pytest.raises(UsageError, match="require_fano"):
+            claim(SearchBounds(2, 3, 4, 6, require_fano=True), **kwargs)
+    with pytest.raises(UsageError, match="gcd_one_weights"):
+        verify_nonvanishing(SearchBounds(2, 3, 4, 6, gcd_one_weights=True))
+
+
 def test_ceiling_refuses_oversized_windows():
     huge = SearchBounds(max_codim=6, max_vars=12, max_weight=60, max_degree=120)
     with pytest.raises(BoundsExceededError) as exc:

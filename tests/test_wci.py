@@ -1,11 +1,13 @@
 """Geometry layer: well-formedness, quasi-smoothness, index, classification, base loci."""
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from wcikit.cli import check_report
 from wcikit.errors import DomainError, UsageError
 from wcikit.hilbert import h0
 from wcikit.pairs import is_h_regular
@@ -147,6 +149,8 @@ def test_fundamental_index_examples():
     assert fundamental_index(X66).index == 1
     assert fundamental_index(X231).index == 1
     assert fundamental_index(X6).index == 1
+    # the {4,6} stratum meets this (not quasi-smooth) family, but 2 | both degrees
+    assert _index_value(WciFamily.parse("12,2/6,4,1^3")) == 1
 
 
 def test_fundamental_index_gate():
@@ -276,22 +280,71 @@ def test_invariants_on_small_universe():
             assert h0(fam, ix) >= 1
 
 
+def test_enumerate_annotations_match_check_report():
+    bounds = SearchBounds(max_codim=2, max_vars=4, max_weight=5, max_degree=8)
+    items = enumerate_instances(bounds, kind="families")
+    seen = set()
+    for enc, ann in items:
+        family = WciFamily.parse(enc)
+        report = check_report(family)
+        assert report["family"] == enc
+        assert ann == {
+            "codim": family.codim,
+            "delta": report["delta"],
+            "linear_cone": report["linear_cone"],
+            "well_formed": report["well_formed"],
+            "quasi_smooth": report["quasi_smooth"],
+            "smooth": report["smooth"],
+            "kind": report["type"],
+        }
+        seen.add((ann["linear_cone"], ann["well_formed"], ann["quasi_smooth"], ann["smooth"], ann["kind"]))
+    # every outcome occurs: cones, not well formed, not quasi-smooth, each kind, singular
+    assert {s[0] for s in seen} == {True, False}
+    assert {s[1] for s in seen} == {True, False}
+    assert {s[2] for s in seen} == {True, False, None}
+    assert {s[3] for s in seen} == {True, False, None}
+    assert {s[4] for s in seen} == {"fano", "calabi_yau", "general", None}
+
+
 # -- value-subset reduction vs index-level brute force -----------------------------------
+
+
+def _random_family(rng, units, max_weight):
+    n1 = rng.randint(2, 7)
+    c = rng.randint(1, min(3, n1 - 1))
+    units = min(units, n1 - 1)
+    ws = (1,) * units + tuple(rng.randint(1, max_weight) for _ in range(n1 - units))
+    ds = tuple(rng.randint(1, 30) for _ in range(c))
+    return tuple(sorted(ds, reverse=True)), tuple(sorted(ws, reverse=True))
 
 
 def test_reduction_matches_oracle_randomized():
     rng = random.Random(411)
-    for _ in range(150):
-        n1 = rng.randint(2, 7)
-        c = rng.randint(1, min(3, n1 - 1))
-        ws = tuple(sorted((rng.randint(1, 10) for _ in range(n1)), reverse=True))
-        ds = tuple(sorted((rng.randint(1, 30) for _ in range(c)), reverse=True))
+    smooth_verdicts = []
+    # two unit weights and small weights make the second half mostly geometric
+    for units, max_weight in [(0, 10)] * 150 + [(2, 6)] * 150:
+        ds, ws = _random_family(rng, units, max_weight)
         fam = WciFamily.of(ds, ws)
+        qs = None
         if not is_linear_cone(fam):
-            assert is_quasi_smooth(fam) == oracles.quasi_smooth(ds, ws)
+            qs = is_quasi_smooth(fam)
+            assert qs == oracles.quasi_smooth(ds, ws)
+        wf = False
         if space_well_formed(list(ws)):
-            assert wci_well_formed(fam) == oracles.wci_well_formed(ds, ws)
+            wf = wci_well_formed(fam)
+            assert wf == oracles.wci_well_formed(ds, ws)
         assert _index_value(fam) == oracles.fundamental_index(ds, ws)
+        if qs and wf:
+            smooth = is_smooth(fam)
+            assert smooth == oracles.is_smooth(ds, ws)
+            smooth_verdicts.append(smooth)
+        # the maximal index set of each value subset is the binding case
+        values = sorted(set(ws))
+        for size in range(1, len(values) + 1):
+            for W in combinations(values, size):
+                idx = tuple(i for i, w in enumerate(ws) if w in W)
+                assert stratum_meets(fam, W) == oracles.stratum_meets(ds, ws, idx)
+    assert smooth_verdicts.count(True) >= 10 and smooth_verdicts.count(False) >= 10
 
 
 @settings(max_examples=250, deadline=None)
