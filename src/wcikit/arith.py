@@ -1,23 +1,25 @@
 """Numerical semigroup arithmetic: representability, Frobenius numbers, Brauer
 bounds, and weighted monomial counts.
 
-Everything here is exact integer arithmetic.  Membership and count tables are
-dense lists indexed by target value; the module keeps a small cache of
-membership tables keyed by the distinct generator set because the geometric
-layer asks the same representability questions for many families.
+Everything here is exact integer arithmetic.  Membership and Frobenius numbers
+come from the Apery set modulo the least generator a (Nijenhuis 1979): t is
+representable iff t >= ap[t mod a], and the Frobenius number is max(ap) - a.
+One table per distinct generator set is cached, because the geometric layer
+asks the same representability questions for many families.  Monomial counts
+are dense lists indexed by target value.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
-from dataclasses import dataclass
 from functools import reduce
 
-from .errors import DomainError, UsageError
+from .errors import CeilingExceededError, DomainError, UsageError
 
 _MAX_FACTOR_INPUT = 10**6
+# Apery tables hold one entry per residue of the least generator.
+_MAX_APERY_MODULUS = 10**6
 
 
 def _check_positive(values, what: str) -> tuple[int, ...]:
@@ -64,7 +66,7 @@ def factorize(n: int, ceiling: int = _MAX_FACTOR_INPUT) -> list[tuple[int, int]]
     if not isinstance(n, int) or n < 1:
         raise UsageError(f"factorize expects a positive integer, got {n!r}")
     if n > ceiling:
-        raise UsageError(f"factorize input {n} exceeds ceiling {ceiling}")
+        raise CeilingExceededError("factorize input", n, ceiling)
     out: list[tuple[int, int]] = []
     rest = n
     for p in itertools.chain((2,), itertools.count(3, 2)):
@@ -81,29 +83,53 @@ def factorize(n: int, ceiling: int = _MAX_FACTOR_INPUT) -> list[tuple[int, int]]
     return out
 
 
-# -- membership tables -------------------------------------------------------
+# -- Apery tables -------------------------------------------------------------
 
-# Keys are sorted distinct generator tuples; values are dense boolean tables
-# that only ever grow.  The lock serializes growth; readers that see a stale,
-# shorter table simply re-enter under the lock.
-_membership_cache: dict[tuple[int, ...], list[bool]] = {}
-_membership_lock = threading.Lock()
+# Keys are sorted distinct generator tuples; values are Apery tables modulo the
+# least generator a: ap[r] is the least representable t with t = r (mod a), or
+# None when no representable t has that residue (the generators share a
+# factor).  A table costs O(k * a) to build, independent of the targets asked.
+_membership_cache: dict[tuple[int, ...], list[int | None]] = {}
 
 
-def _membership(generators: tuple[int, ...], bound: int) -> list[bool]:
-    """Dense table t -> representable(t) for 0 <= t <= bound, cached.
+def _apery(generators) -> list[int | None]:
+    """The cached Apery table of the generators modulo the least one.
 
-    The recurrence membership[t] = OR over generators g <= t of
-    membership[t-g] is order-free, so the table extends in place.
+    Built by round-robin shortest paths (Boecker-Liptak 2007): each further
+    generator b closes the residues into gcd(a, b) cycles of r -> r + b mod a,
+    and one walk around a cycle, started at its least entry, relaxes it.
     """
     key = tuple(sorted(set(generators)))
     table = _membership_cache.get(key)
-    if table is not None and len(table) > bound:
+    if table is not None:
         return table
-    with _membership_lock:
-        table = _membership_cache.setdefault(key, [True])
-        for t in range(len(table), bound + 1):
-            table.append(any(t >= g and table[t - g] for g in key))
+    a = key[0]
+    if a > _MAX_APERY_MODULUS:
+        raise CeilingExceededError("least generator", a, _MAX_APERY_MODULUS)
+    table = [None] * a
+    table[0] = 0
+    for b in key[1:]:
+        d = math.gcd(a, b)
+        step = b % a
+        for p in range(d):
+            least = r = None
+            for q in range(p, a, d):
+                known = table[q]
+                if known is not None and (least is None or known < least):
+                    least, r = known, q
+            if least is None:
+                continue  # this residue class is out of reach
+            for _ in range(a // d - 1):
+                r += step
+                if r >= a:
+                    r -= a
+                least += b
+                known = table[r]
+                if known is not None and known < least:
+                    least = known
+                else:
+                    table[r] = least
+    _membership_cache[key] = table
     return table
 
 
@@ -112,7 +138,16 @@ def representable(target: int, generators) -> bool:
     gens = _check_positive(generators, "generators")
     if not isinstance(target, int) or target < 0:
         raise UsageError(f"target must be a nonnegative integer, got {target!r}")
-    return _membership(gens, target)[target]
+    if target < min(gens):
+        return target == 0
+    return _repr_over(target, tuple(sorted(set(gens))))
+
+
+def _repr_over(t: int, values: tuple[int, ...]) -> bool:
+    """Representability of t >= 0 over an ascending distinct-value tuple."""
+    table = _membership_cache.get(values) or _apery(values)
+    least = table[t % len(table)]
+    return least is not None and t >= least
 
 
 def monomial_count(target: int, weights) -> int:
@@ -130,42 +165,6 @@ def monomial_count(target: int, weights) -> int:
         for t in range(w, target + 1):
             counts[t] += counts[t - w]
     return counts[target]
-
-
-@dataclass(frozen=True)
-class SemigroupTable:
-    """Dense membership (and optionally count) table for a generating set."""
-
-    generators: tuple[int, ...]
-    bound: int
-    membership: tuple[bool, ...]
-    counts: tuple[int, ...] | None = None
-
-    @classmethod
-    def build(cls, generators, bound: int, with_counts: bool = False) -> "SemigroupTable":
-        gens = _check_positive(generators, "generators")
-        if bound < 0:
-            raise UsageError("bound must be nonnegative")
-        member = tuple(_membership(gens, bound)[: bound + 1])
-        counts = None
-        if with_counts:
-            # counts use every entry (variables), membership only distinct values
-            arr = [0] * (bound + 1)
-            arr[0] = 1
-            for g in gens:
-                for t in range(g, bound + 1):
-                    arr[t] += arr[t - g]
-            counts = tuple(arr)
-        return cls(gens, bound, member, counts)
-
-    def contains(self, target: int) -> bool:
-        if not 0 <= target <= self.bound:
-            raise UsageError(f"target {target} outside table bound {self.bound}")
-        return self.membership[target]
-
-    def gaps(self) -> tuple[int, ...]:
-        """Non-representable targets within the table bound."""
-        return tuple(t for t, m in enumerate(self.membership) if not m)
 
 
 def brauer_bound(generators) -> int:
@@ -196,21 +195,6 @@ def brauer_bound_min(generators) -> int:
     return min(brauer_bound(p) for p in set(itertools.permutations(gens)))
 
 
-def _frobenius_scan_bound(gens: tuple[int, ...]) -> int:
-    """A provable upper bound for the Frobenius number of a gcd-1 set.
-
-    For a coprime pair (a, b) the classical value ab - a - b bounds the whole
-    set (extra generators only shrink the Frobenius number); sets with no
-    coprime pair (e.g. {6, 10, 15}) fall back on the Brauer bound, which is
-    valid for any ordering.
-    """
-    best = brauer_bound(tuple(sorted(gens)))
-    for a, b in itertools.combinations(sorted(set(gens)), 2):
-        if math.gcd(a, b) == 1:
-            best = min(best, a * b - a - b)
-    return max(best, 0)
-
-
 def frobenius(generators) -> int:
     """Largest integer not representable by the generators; -1 if none.
 
@@ -219,11 +203,5 @@ def frobenius(generators) -> int:
     gens = _check_positive(generators, "generators")
     if gcd_many(gens) != 1:
         raise DomainError("Frobenius number undefined: generators share a factor")
-    if 1 in gens:
-        return -1
-    bound = _frobenius_scan_bound(gens)
-    table = _membership(gens, bound)
-    for t in range(bound, -1, -1):
-        if not table[t]:
-            return t
-    raise AssertionError("gcd-1 set without 1 must have a gap")
+    table = _apery(gens)
+    return max(table) - len(table)

@@ -138,8 +138,7 @@ def _cmd_hilbert(args) -> int:
     family = WciFamily.parse(args.family)
     if args.upto < 0:
         raise UsageError("k must be nonnegative")
-    value, formal = hilbert.section_dim(family, args.upto)
-    coeffs = hilbert.series_coefficients(family.degrees, family.weights.expand(), args.upto)
+    coeffs, formal = hilbert.series(family, args.upto)
     if args.json:
         _emit_json(
             {

@@ -33,3 +33,12 @@ class BoundsExceededError(UsageError):
         )
         self.estimate = estimate
         self.ceiling = ceiling
+
+
+class CeilingExceededError(UsageError):
+    """An input exceeds a fixed ceiling that keeps time and memory bounded."""
+
+    def __init__(self, what: str, value: int, ceiling: int):
+        super().__init__(f"{what} {value} exceeds ceiling {ceiling}")
+        self.value = value
+        self.ceiling = ceiling

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
 
-from .arith import _membership, monomial_count
+from .arith import _repr_over, monomial_count
 from .errors import DomainError, UsageError
 from .pairs import Pair, _encode_run_length, parse_sides
 
@@ -144,11 +144,6 @@ def is_linear_cone(family: WciFamily) -> bool:
 
 
 # -- stratum bookkeeping --------------------------------------------------------
-
-
-def _repr_over(d: int, values: tuple[int, ...]) -> bool:
-    """Representability of d over a distinct-value tuple (cached dense table)."""
-    return _membership(values, d)[d]
 
 
 def _strata(weights: WeightClasses):

@@ -1,11 +1,13 @@
 """Numerical semigroup primitives against brute-force oracles."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from wcikit import arith
 from wcikit.arith import (
-    SemigroupTable,
     brauer_bound,
     brauer_bound_min,
     factorize,
@@ -16,7 +18,7 @@ from wcikit.arith import (
     monomial_count,
     representable,
 )
-from wcikit.errors import DomainError, UsageError
+from wcikit.errors import CeilingExceededError, DomainError, UsageError
 
 
 def test_gcd_lcm_basics():
@@ -74,24 +76,39 @@ def test_monomial_count_examples():
     assert monomial_count(6, [1, 2, 3]) == 7
 
 
-def test_semigroup_table_prefix():
-    table = SemigroupTable.build([3, 5], 15)
-    hits = [k for k in range(16) if table.contains(k)]
+def test_representable_prefix_and_gaps():
+    hits = [k for k in range(16) if representable(k, [3, 5])]
     assert hits == [0, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15]
-    assert table.gaps() == (1, 2, 4, 7)
+    assert [k for k in range(16) if k not in hits] == [1, 2, 4, 7]
 
 
-def test_semigroup_table_counts_match_monomials():
-    table = SemigroupTable.build([2, 2, 3], 12, with_counts=True)
-    assert table.counts is not None
-    for k in range(13):
-        assert table.counts[k] == monomial_count(k, [2, 2, 3])
+def test_representable_matches_oracle_up_to_300():
+    # gcd > 1 sets leave residues unreachable; a generator 1 reaches them all
+    rng = random.Random(12)
+    cases = [(6, 10), (4, 6, 8), (9, 12, 15), (1,), (1, 7), (2,), (7,), (6, 10, 15)]
+    cases += [tuple(rng.randint(1, 40) for _ in range(rng.randint(1, 5))) for _ in range(60)]
+    for weights in cases:
+        for d in range(301):
+            assert representable(d, weights) == oracles.representable(d, weights), (d, weights)
+
+
+def test_representable_below_least_generator_needs_no_table():
+    assert representable(5, [10**9]) is False
+    assert representable(0, [10**9]) is True
+    assert (10**9,) not in arith._membership_cache
+    with pytest.raises(CeilingExceededError):
+        representable(10**9 + 5, [10**9])
 
 
 def test_frobenius_pairs_closed_form():
     assert frobenius([2, 3]) == 1
     assert frobenius([3, 5]) == 7
     assert frobenius([5, 8]) == 27
+    pairs = [(a, b) for a in range(2, 40) for b in range(a + 1, 60) if gcd_many([a, b]) == 1]
+    pairs += [(97, 101), (1000, 1001), (2999, 3001), (3001, 3011)]
+    for a, b in pairs:
+        assert frobenius([a, b]) == a * b - a - b
+        assert frobenius([b, a]) == a * b - a - b
 
 
 def test_frobenius_classics():
@@ -109,12 +126,19 @@ def test_frobenius_requires_gcd_one():
 
 @settings(max_examples=150)
 @given(
-    gens=st.lists(st.integers(min_value=2, max_value=30), min_size=2, max_size=4).filter(
+    gens=st.lists(st.integers(min_value=1, max_value=60), min_size=2, max_size=5).filter(
         lambda g: gcd_many(g) == 1
     )
 )
 def test_frobenius_matches_oracle(gens):
     assert frobenius(gens) == oracles.frobenius(gens)
+
+
+def test_frobenius_refuses_least_generator_over_ceiling():
+    with pytest.raises(CeilingExceededError) as info:
+        frobenius([10**6 + 3, 10**6 + 33])
+    assert isinstance(info.value, UsageError)
+    assert info.value.ceiling == arith._MAX_APERY_MODULUS
 
 
 def test_brauer_bound_order_sensitive():

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from wcikit import cli
+from wcikit.hilbert import _MAX_SERIES_ORDER
 
 X6 = "6/1,2,3"
 X66 = "6,6/1^2,2^2,3^2"
@@ -136,6 +137,13 @@ def test_frobenius_errors(capsys):
     assert run_cli(["frobenius", ""], capsys)[0] == 2
 
 
+def test_frobenius_over_ceiling_exits_2(capsys):
+    code, out, err = run_cli(["frobenius", "1000003,1000033"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "exceeds ceiling" in err
+
+
 # -- hilbert --------------------------------------------------------------------
 
 
@@ -166,6 +174,13 @@ def test_hilbert_json_schema(capsys):
 
 def test_hilbert_negative_k(capsys):
     assert run_cli(["hilbert", X6, "-1"], capsys)[0] == 2
+
+
+def test_hilbert_over_ceiling_exits_2(capsys):
+    code, out, err = run_cli(["hilbert", X6, str(_MAX_SERIES_ORDER + 1)], capsys)
+    assert code == 2
+    assert out == ""
+    assert "exceeds ceiling" in err
 
 
 # -- base-locus -------------------------------------------------------------------
@@ -310,6 +325,21 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+def test_python_dash_m_wcikit():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "wcikit", "frobenius", "3,5"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "7"
 
 
 def test_installed_script_runs(tmp_path):

@@ -1,5 +1,6 @@
 """Geometry layer: well-formedness, quasi-smoothness, index, classification, base loci."""
 
+import math
 import random
 from itertools import combinations
 
@@ -16,7 +17,9 @@ from wcikit.wci import (
     WciFamily,
     WeightClasses,
     _index_value,
+    _repr_over,
     _selection_exists,
+    _strata,
     augment,
     base_locus,
     canonical_degree,
@@ -345,6 +348,18 @@ def test_reduction_matches_oracle_randomized():
                 idx = tuple(i for i, w in enumerate(ws) if w in W)
                 assert stratum_meets(fam, W) == oracles.stratum_meets(ds, ws, idx)
     assert smooth_verdicts.count(True) >= 10 and smooth_verdicts.count(False) >= 10
+
+
+def test_repr_over_matches_oracle_on_every_stratum():
+    rng = random.Random(12)
+    gcd_strata = 0
+    for units, max_weight in [(0, 12)] * 40 + [(1, 8)] * 20:
+        ds, ws = _random_family(rng, units, max_weight)
+        for W, _k in _strata(WciFamily.of(ds, ws).weights):
+            gcd_strata += math.gcd(*W) > 1
+            for d in range(61):
+                assert _repr_over(d, W) == oracles.representable(d, W), (d, W)
+    assert gcd_strata > 0
 
 
 @settings(max_examples=250, deadline=None)
