@@ -17,7 +17,6 @@ from functools import reduce
 
 from .errors import CeilingExceededError, DomainError, UsageError
 
-_MAX_FACTOR_INPUT = 10**6
 # Apery tables hold one entry per residue of the least generator.
 _MAX_APERY_MODULUS = 10**6
 
@@ -30,16 +29,6 @@ def _check_positive(values, what: str) -> tuple[int, ...]:
         if not isinstance(v, int) or v < 1:
             raise UsageError(f"{what} must be positive integers, got {v!r}")
     return vals
-
-
-def gcd_many(values) -> int:
-    """gcd of a nonempty list of positive integers."""
-    return reduce(math.gcd, _check_positive(values, "values"))
-
-
-def lcm_many(values) -> int:
-    """lcm of a nonempty list of positive integers."""
-    return reduce(math.lcm, _check_positive(values, "values"))
 
 
 def is_prime(n: int) -> bool:
@@ -56,31 +45,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def factorize(n: int, ceiling: int = _MAX_FACTOR_INPUT) -> list[tuple[int, int]]:
-    """Prime factorization as (prime, exponent) pairs, trial division.
-
-    Inputs beyond `ceiling` are refused rather than silently taking minutes.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise UsageError(f"factorize expects a positive integer, got {n!r}")
-    if n > ceiling:
-        raise CeilingExceededError("factorize input", n, ceiling)
-    out: list[tuple[int, int]] = []
-    rest = n
-    for p in itertools.chain((2,), itertools.count(3, 2)):
-        if p * p > rest:
-            break
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            out.append((p, e))
-    if rest > 1:
-        out.append((rest, 1))
-    return out
 
 
 # -- Apery tables -------------------------------------------------------------
@@ -174,7 +138,7 @@ def brauer_bound(generators) -> int:
     it depends on the ordering of the generators as given.
     """
     gens = _check_positive(generators, "generators")
-    if gcd_many(gens) != 1:
+    if reduce(math.gcd, gens) != 1:
         raise DomainError("Brauer bound requires generators with gcd 1")
     g = gens[0]
     total = 0
@@ -190,7 +154,7 @@ def brauer_bound_min(generators) -> int:
     gens = _check_positive(generators, "generators")
     if len(gens) > 8:
         raise UsageError("brauer_bound_min is exhaustive only up to 8 entries")
-    if gcd_many(gens) != 1:
+    if reduce(math.gcd, gens) != 1:
         raise DomainError("Brauer bound requires generators with gcd 1")
     return min(brauer_bound(p) for p in set(itertools.permutations(gens)))
 
@@ -201,7 +165,7 @@ def frobenius(generators) -> int:
     Undefined (DomainError) when the generators have a common factor.
     """
     gens = _check_positive(generators, "generators")
-    if gcd_many(gens) != 1:
+    if reduce(math.gcd, gens) != 1:
         raise DomainError("Frobenius number undefined: generators share a factor")
     table = _apery(gens)
     return max(table) - len(table)

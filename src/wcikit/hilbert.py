@@ -7,8 +7,6 @@ otherwise the same coefficient is still returned but flagged as formal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import CeilingExceededError, UsageError
 from .wci import WciFamily, _geometry
 
@@ -31,35 +29,6 @@ def series_coefficients(degrees, weights, upto: int) -> list[int]:
         for i in range(upto, d - 1, -1):
             coeffs[i] -= coeffs[i - d]
     return coeffs
-
-
-@dataclass(eq=False)
-class PoincareSeries:
-    """Lazily extended coefficient table of the Hilbert series of a pair."""
-
-    numerator_degrees: tuple[int, ...]
-    denominator_weights: tuple[int, ...]
-    _coeffs: list[int] = field(default_factory=list, repr=False)
-
-    @classmethod
-    def for_family(cls, family: WciFamily) -> "PoincareSeries":
-        return cls(family.degrees, family.weights.expand())
-
-    def extend(self, upto: int) -> None:
-        if upto >= len(self._coeffs):
-            self._coeffs = series_coefficients(
-                self.numerator_degrees, self.denominator_weights, upto
-            )
-
-    def coefficient(self, k: int) -> int:
-        if k < 0:
-            raise UsageError(f"coefficient index must be nonnegative, got {k}")
-        self.extend(k)
-        return self._coeffs[k]
-
-    def coefficients(self, upto: int) -> list[int]:
-        self.extend(upto)
-        return self._coeffs[: upto + 1]
 
 
 def _check_k(k) -> None:
@@ -86,10 +55,3 @@ def section_dim(family: WciFamily, k: int) -> tuple[int, bool]:
     _check_k(k)
     coeffs, formal = series(family, k)
     return coeffs[k], formal
-
-
-def nonvanishing(family: WciFamily, k: int) -> bool:
-    """Is the linear system of degree k nonempty on the general member?"""
-    if not isinstance(k, int) or k < 1:
-        raise UsageError(f"k must be a positive integer, got {k!r}")
-    return h0(family, k) >= 1

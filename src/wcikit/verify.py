@@ -9,8 +9,10 @@ Regularity is decided wholesale: a weight tuple induces requirements
 (g -> minimum count of degrees divisible by g), degree multisets are
 pre-grouped by their divisibility signature, and only matching groups are
 visited; every entry of a matched group is then compared with the claim's
-amplitude threshold.  Only the nonvanishing claim bisects: its degree
-multisets are sorted by sum per codimension, so delta <= 0 is a prefix.
+amplitude threshold.  The three regular-pair claims share one driver,
+`_part_regular`, and differ only in that bound and in what an equality case
+records.  Only the nonvanishing claim bisects: its degree multisets are sorted
+by sum per codimension, so delta <= 0 is a prefix.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import math
 import os
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
@@ -32,11 +35,11 @@ from .errors import BoundsExceededError, UsageError
 from .pairs import Pair, _encode_run_length, is_regular
 from .wci import (
     WciFamily,
+    _base_locus,
     _geometry,
     _index,
     _smooth,
     _well_formed_rows,
-    base_locus,
     canonical_degree,
     is_quasi_smooth,
     space_well_formed,
@@ -224,10 +227,6 @@ def _frobenius_cached(weights_sorted: tuple[int, ...]) -> int:
     return frobenius(list(weights_sorted))
 
 
-def _encode_weights(weights: tuple[int, ...]) -> str:
-    return _encode_run_length(tuple(weights))
-
-
 def _pair_encoding(degrees: tuple[int, ...], weights: tuple[int, ...]) -> str:
     return Pair.of(degrees, weights).encode()
 
@@ -240,116 +239,72 @@ def _entry_key(entry: dict) -> tuple[str, str]:
 # -- per-claim partition workers --------------------------------------------------
 
 
-def _part_conjecture(bounds: SearchBounds, q, first: int):
-    universe_key = (bounds.max_codim, bounds.max_degree, 1, 1, bounds.max_weight)
-    values = _weight_values(bounds.max_weight, min_value=2)
-    checked = 0
-    cex: list[dict] = []
-    for weights in _tuples_with_first(first, values, 2, bounds.max_vars):
-        if reduce(math.gcd, weights) != 1:
-            continue
-        value_set = set(weights)
-        max_c = len(weights) - 1  # c <= n
-        sum_a = sum(weights)
-        G = _frobenius_cached(tuple(sorted(weights)))
-        for group in _matched_groups(universe_key, weights):
-            for sum_d, ds, dvals in group:
-                if len(ds) > max_c or not value_set.isdisjoint(dvals):
-                    continue
-                checked += 1
-                delta = sum_d - sum_a
-                if delta < G:
-                    cex.append(
-                        {
-                            "pair": _pair_encoding(ds, weights),
-                            "delta": delta,
-                            "frobenius": G,
-                        }
-                    )
-    return checked, cex, []
+def _frobenius_limits(weights: tuple[int, ...], max_codim: int, q):
+    """delta >= Frobenius(weights) at every c <= n, for coprime weights only."""
+    if reduce(math.gcd, weights) != 1:
+        return None
+    return [_frobenius_cached(tuple(sorted(weights)))] * len(weights)
 
 
 _EXPECTED_FORM_NOTE = "(6^s,1^(c-s); 2^s,3^s)"
 
 
-def _prop_equality_form(ds: tuple[int, ...], weights: tuple[int, ...]) -> tuple[bool, int]:
-    s = sum(1 for d in ds if d == 6)
-    ok = (
-        all(d in (6, 1) for d in ds)
-        and Counter(weights) == Counter({2: s, 3: s})
+def _prop_equality(ds: tuple[int, ...], weights: tuple[int, ...], cex: list, wits: list) -> None:
+    """gcd-one pairs with delta = c must be of the form (6^s,1^(c-s); 2^s,3^s)."""
+    if reduce(math.gcd, weights) != 1:
+        return
+    s = ds.count(6)
+    ok = all(d in (6, 1) for d in ds) and Counter(weights) == Counter({2: s, 3: s})
+    enc = _pair_encoding(ds, weights)
+    wits.append({"pair": enc, "s": s if ok else None, "matches_form": ok})
+    if not ok:
+        cex.append(
+            {
+                "pair": enc,
+                "delta": len(ds),
+                "reason": f"equality pair not of the form {_EXPECTED_FORM_NOTE}",
+            }
+        )
+
+
+def _qdiv_equality(ds: tuple[int, ...], weights: tuple[int, ...], cex: list, wits: list) -> None:
+    """delta = cq is recorded with whether c equals the number of variables."""
+    wits.append(
+        {
+            "pair": _pair_encoding(ds, weights),
+            "codim": len(ds),
+            "nvars": len(weights),
+            "c_equals_nvars": len(ds) == len(weights),
+        }
     )
-    return ok, s
 
 
-def _part_prop(bounds: SearchBounds, q, first: int):
-    universe_key = (bounds.max_codim, bounds.max_degree, 1, 1, bounds.max_weight)
-    values = _weight_values(bounds.max_weight, min_value=2)
+def _part_regular(claim: str, bounds: SearchBounds, q, first: int):
+    spec, values, universe_key = _domain(claim, bounds, q)
     checked = 0
     cex: list[dict] = []
     wits: list[dict] = []
-    for weights in _tuples_with_first(first, values, 1, bounds.max_vars):
-        sum_a = sum(weights)
-        value_set = set(weights)
-        gcd_one = reduce(math.gcd, weights) == 1
-        for group in _matched_groups(universe_key, weights):
-            for sum_d, ds, dvals in group:
-                if not value_set.isdisjoint(dvals):
-                    continue
-                checked += 1
-                c = len(ds)
-                delta = sum_d - sum_a
-                if delta < c:
-                    cex.append(
-                        {
-                            "pair": _pair_encoding(ds, weights),
-                            "delta": delta,
-                            "codim": c,
-                        }
-                    )
-                elif gcd_one and delta == c:
-                    ok, s = _prop_equality_form(ds, weights)
-                    enc = _pair_encoding(ds, weights)
-                    wits.append({"pair": enc, "s": s if ok else None, "matches_form": ok})
-                    if not ok:
-                        cex.append(
-                            {
-                                "pair": enc,
-                                "delta": c,
-                                "reason": f"equality pair not of the form {_EXPECTED_FORM_NOTE}",
-                            }
-                        )
-    return checked, cex, wits
-
-
-def _part_qdiv(bounds: SearchBounds, q: int, first: int):
-    universe_key = (bounds.max_codim, bounds.max_degree, 1, q, bounds.max_weight)
-    values = _weight_values(bounds.max_weight, divisor=q)
-    checked = 0
-    cex: list[dict] = []
-    wits: list[dict] = []
-    for weights in _tuples_with_first(first, values, 1, bounds.max_vars):
+    for weights in _tuples_with_first(first, values, spec.min_len, bounds.max_vars):
+        limits = spec.limits(weights, bounds.max_codim, q)
+        if limits is None:
+            continue
+        max_c = len(limits) - 1
         value_set = set(weights)
         sum_a = sum(weights)
         for group in _matched_groups(universe_key, weights):
             for sum_d, ds, dvals in group:
-                if not value_set.isdisjoint(dvals):
-                    continue
-                checked += 1
                 c = len(ds)
+                if c > max_c or not value_set.isdisjoint(dvals):
+                    continue  # over the codim cap, or a linear cone
+                checked += 1
                 delta = sum_d - sum_a
-                if delta < c * q:
+                bound = limits[c]
+                if delta < bound:
                     cex.append(
-                        {"pair": _pair_encoding(ds, weights), "delta": delta, "bound": c * q}
+                        {"pair": _pair_encoding(ds, weights), "delta": delta, spec.bound_key: bound}
                     )
-                elif delta == c * q:
-                    wits.append(
-                        {
-                            "pair": _pair_encoding(ds, weights),
-                            "codim": c,
-                            "nvars": len(weights),
-                            "c_equals_nvars": c == len(weights),
-                        }
-                    )
+                elif delta == bound and spec.on_equality is not None:
+                    spec.on_equality(ds, weights, cex, wits)
     return checked, cex, wits
 
 
@@ -358,13 +313,13 @@ def _expected_equality_family(family: WciFamily) -> bool:
     return family.degrees == (6,) * c and family.weights.classes == ((3, c), (2, c), (1, c))
 
 
-def _part_nonvanishing(bounds: SearchBounds, q, first: int):
-    values = _weight_values(bounds.max_weight)
+def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
+    spec, values, _ = _domain(claim, bounds, q)
     degree_lists = _plain_degree_lists(bounds.max_codim, bounds.max_degree)
     checked = 0
     cex: list[dict] = []
     wits: list[dict] = []
-    for weights in _tuples_with_first(first, values, 2, bounds.max_vars):
+    for weights in _tuples_with_first(first, values, spec.min_len, bounds.max_vars):
         if not space_well_formed(weights):
             continue
         sum_a = sum(weights)
@@ -436,11 +391,11 @@ def _pairwise_gcd_lcm(weights: tuple[int, ...]) -> int:
     return h
 
 
-def _part_hypersurface(bounds: SearchBounds, q, first: int):
-    values = _weight_values(bounds.max_weight)
+def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
+    spec, values, _ = _domain(claim, bounds, q)
     checked = 0
     cex: list[dict] = []
-    for weights in _tuples_with_first(first, values, 2, bounds.max_vars):
+    for weights in _tuples_with_first(first, values, spec.min_len, bounds.max_vars):
         # (a) the amplitude inequality for the lcm degree
         h = _pairwise_gcd_lcm(weights)
         if all(h % a != 0 for a in weights):
@@ -454,7 +409,7 @@ def _part_hypersurface(bounds: SearchBounds, q, first: int):
                     cex.append(
                         {
                             "part": "a",
-                            "weights": _encode_weights(weights),
+                            "weights": _encode_run_length(weights),
                             "s": a_s,
                             "t": a_t,
                             "lhs": lhs,
@@ -497,7 +452,7 @@ def _part_hypersurface(bounds: SearchBounds, q, first: int):
                     ell = delta + m * index
                     if ell < 1:
                         continue  # trivial or empty system; nothing to base-lock
-                    components = base_locus(family, ell)
+                    components = _base_locus(family, ell)
                     if components:
                         cex.append(
                             {
@@ -511,21 +466,7 @@ def _part_hypersurface(bounds: SearchBounds, q, first: int):
     return checked, cex, []
 
 
-_PARTITION_FUNCS = {
-    "conjecture-regular": _part_conjecture,
-    "prop-regular": _part_prop,
-    "lemma-qdiv": _part_qdiv,
-    "nonvanishing": _part_nonvanishing,
-    "hypersurface": _part_hypersurface,
-}
-
-
-def _run_partition(args):
-    claim, bounds, q, first = args
-    return _PARTITION_FUNCS[claim](bounds, q, first)
-
-
-# -- estimates --------------------------------------------------------------------
+# -- the claim table and estimates -----------------------------------------------
 
 
 # Refining an estimate beyond the raw product requires materializing the degree
@@ -534,70 +475,111 @@ _REFINE_MULTISET_CAP = 500_000
 _REFINE_TUPLE_CAP = 2_000_000
 
 
-def _estimate_regular(
-    bounds: SearchBounds, min_weight: int, divisor: int, min_len: int, ceiling: int
+def _estimate_regular(bounds: SearchBounds, universe_key: tuple, weights: tuple[int, ...]) -> int:
+    universe = _degree_universe(*universe_key)
+    return sum(
+        len(universe[sig])
+        for sig in _matching_sigs(universe_key, _regularity_requirements(weights))
+    )
+
+
+def _estimate_delta_le_zero(
+    bounds: SearchBounds, universe_key: tuple, weights: tuple[int, ...]
 ) -> int:
-    values = _weight_values(bounds.max_weight, min_value=min_weight, divisor=divisor)
-    n_tuples = _count_tuples(len(values), min_len, bounds.max_vars)
+    degree_lists = _plain_degree_lists(bounds.max_codim, bounds.max_degree)
+    sum_a = sum(weights)
+    max_c = min(bounds.max_codim, len(weights) - 1)
+    return sum(bisect_right(degree_lists[c][0], sum_a) for c in range(1, max_c + 1))
+
+
+@dataclass(frozen=True)
+class _Claim:
+    """How one claim walks its window.
+
+    Weight tuples have min_len..max_vars entries drawn from the multiples of q
+    (over_q) or of 1 between min_weight and max_weight; partitions are keyed
+    by the largest entry.  `refine(bounds, universe_key, weights)` counts the
+    instances one weight tuple yields, for when the raw estimate trips the
+    ceiling; hypersurface has none.  The regular-pair claims share
+    `_part_regular` and differ only in `limits(weights, max_codim, q)`, the
+    least allowed delta indexed by codim (its length caps c; None skips the
+    tuple), the counterexample key of that bound, and `on_equality`.
+    """
+
+    part: Callable
+    refine: Callable | None
+    min_len: int
+    min_weight: int = 1
+    over_q: bool = False
+    limits: Callable | None = None
+    bound_key: str = ""
+    on_equality: Callable | None = None
+
+
+_CLAIM_SPECS = {
+    "conjecture-regular": _Claim(
+        _part_regular,
+        _estimate_regular,
+        min_len=2,
+        min_weight=2,
+        limits=_frobenius_limits,
+        bound_key="frobenius",
+    ),
+    "prop-regular": _Claim(
+        _part_regular,
+        _estimate_regular,
+        min_len=1,
+        min_weight=2,
+        limits=lambda weights, max_codim, q: list(range(max_codim + 1)),
+        bound_key="codim",
+        on_equality=_prop_equality,
+    ),
+    "lemma-qdiv": _Claim(
+        _part_regular,
+        _estimate_regular,
+        min_len=1,
+        over_q=True,
+        limits=lambda weights, max_codim, q: [c * q for c in range(max_codim + 1)],
+        bound_key="bound",
+        on_equality=_qdiv_equality,
+    ),
+    "nonvanishing": _Claim(_part_nonvanishing, _estimate_delta_le_zero, min_len=2),
+    "hypersurface": _Claim(_part_hypersurface, None, min_len=2),
+}
+
+
+def _domain(claim: str, bounds: SearchBounds, q) -> tuple[_Claim, list[int], tuple]:
+    """(spec, weight values, degree-universe key) of a claim in a window."""
+    spec = _CLAIM_SPECS[claim]
+    divisor = q if spec.over_q else 1
+    values = _weight_values(bounds.max_weight, spec.min_weight, divisor)
+    return spec, values, (bounds.max_codim, bounds.max_degree, 1, divisor, bounds.max_weight)
+
+
+def _estimate(claim: str, bounds: SearchBounds, q, ceiling: int) -> int:
+    spec, values, universe_key = _domain(claim, bounds, q)
+    n_tuples = _count_tuples(len(values), spec.min_len, bounds.max_vars)
+    if spec.refine is None:  # part (a) plus every degree up to max_degree
+        return n_tuples * (bounds.max_degree + 1)
+    divisor = universe_key[3]
     n_multisets = _count_tuples(bounds.max_degree // divisor, 1, bounds.max_codim)
     raw = n_tuples * n_multisets
     if raw <= ceiling or n_multisets > _REFINE_MULTISET_CAP or n_tuples > _REFINE_TUPLE_CAP:
         return raw
-    # The raw product trips the ceiling, but regularity requirements usually
-    # match only a sliver of the universe; count the matched groups exactly.
-    universe_key = (bounds.max_codim, bounds.max_degree, 1, divisor, bounds.max_weight)
-    sizes = {sig: len(lst) for sig, lst in _degree_universe(*universe_key).items()}
-    total = 0
-    for first in values:
-        for weights in _tuples_with_first(first, values, min_len, bounds.max_vars):
-            for sig in _matching_sigs(universe_key, _regularity_requirements(weights)):
-                total += sizes[sig]
-    return total
+    # The raw product trips the ceiling, but far fewer instances usually get
+    # visited; count them per weight tuple.
+    return sum(
+        spec.refine(bounds, universe_key, weights)
+        for first in values
+        for weights in _tuples_with_first(first, values, spec.min_len, bounds.max_vars)
+    )
 
 
-def _estimate_delta_le_zero(bounds: SearchBounds, ceiling: int) -> int:
-    values = _weight_values(bounds.max_weight)
-    n_tuples = _count_tuples(len(values), 2, bounds.max_vars)
-    n_multisets = _count_tuples(bounds.max_degree, 1, bounds.max_codim)
-    raw = n_tuples * n_multisets
-    if raw <= ceiling or n_multisets > _REFINE_MULTISET_CAP or n_tuples > _REFINE_TUPLE_CAP:
-        return raw
-    degree_lists = _plain_degree_lists(bounds.max_codim, bounds.max_degree)
-    total = 0
-    for first in values:
-        for weights in _tuples_with_first(first, values, 2, bounds.max_vars):
-            sum_a = sum(weights)
-            max_c = min(bounds.max_codim, len(weights) - 1)
-            for c in range(1, max_c + 1):
-                sums, _lists = degree_lists[c]
-                total += bisect_right(sums, sum_a)
-    return total
-
-
-def _estimate(claim: str, bounds: SearchBounds, q, ceiling: int) -> int:
-    if claim == "conjecture-regular":
-        return _estimate_regular(bounds, 2, 1, 2, ceiling)
-    if claim == "prop-regular":
-        return _estimate_regular(bounds, 2, 1, 1, ceiling)
-    if claim == "lemma-qdiv":
-        return _estimate_regular(bounds, q, q, 1, ceiling)
-    if claim == "nonvanishing":
-        return _estimate_delta_le_zero(bounds, ceiling)
-    if claim == "hypersurface":
-        tuples = _count_tuples(bounds.max_weight, 2, bounds.max_vars)
-        return tuples * (bounds.max_degree + 1)
-    raise UsageError(f"unknown claim {claim!r}")
+def _run_partition(args):
+    return _CLAIM_SPECS[args[0]].part(*args)
 
 
 # -- drivers ----------------------------------------------------------------------
-
-
-def _claim_partitions(claim: str, bounds: SearchBounds, q) -> list[int]:
-    if claim in ("conjecture-regular", "prop-regular"):
-        return _weight_values(bounds.max_weight, min_value=2)
-    if claim == "lemma-qdiv":
-        return _weight_values(bounds.max_weight, divisor=q)
-    return _weight_values(bounds.max_weight)
 
 
 def _run_claim(claim: str, bounds: SearchBounds, q=None, workers: int | None = None) -> VerifyReport:
@@ -610,7 +592,7 @@ def _run_claim(claim: str, bounds: SearchBounds, q=None, workers: int | None = N
     if estimate > ceiling:
         raise BoundsExceededError(estimate, ceiling)
     workers = workers or 1
-    tasks = [(claim, bounds, q, first) for first in _claim_partitions(claim, bounds, q)]
+    tasks = [(claim, bounds, q, first) for first in _domain(claim, bounds, q)[1]]
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_partition, tasks))

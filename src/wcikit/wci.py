@@ -693,6 +693,11 @@ def base_locus(family: WciFamily, ell: int) -> list[BaseLocusComponent]:
     if not isinstance(ell, int) or ell < 1:
         raise UsageError(f"ell must be a positive integer, got {ell!r}")
     _require_geometric(family, "base_locus")
+    return _base_locus(family, ell)
+
+
+def _base_locus(family: WciFamily, ell: int) -> list[BaseLocusComponent]:
+    """`base_locus` for a family already known to be geometric and ell >= 1."""
     hits = [
         W
         for W, k in _strata(family.weights)

@@ -6,8 +6,9 @@ agreement with the library exercises its maximal-subset reduction and its
 selection search.
 """
 
+import json
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
 
@@ -235,3 +236,84 @@ def h0(degrees: tuple[int, ...], weights: tuple[int, ...], k: int) -> int:
             if e >= 0:
                 total += (-1) ** size * monomial_count(e, tuple(weights))
     return total
+
+
+# -- regular-pair claims -------------------------------------------------------------
+
+
+def _encode_pair(degrees: tuple[int, ...], weights: tuple[int, ...]) -> str:
+    """'d1,d2,.../a^m,...': degrees listed, weights run-length encoded, both descending."""
+    ws = sorted(weights, reverse=True)
+    runs = [
+        f"{a}^{ws.count(a)}" if ws.count(a) > 1 else str(a) for a in sorted(set(ws), reverse=True)
+    ]
+    return ",".join(map(str, sorted(degrees, reverse=True))) + "/" + ",".join(runs)
+
+
+def verify_regular(claim: str, window: tuple[int, int, int, int], q: int | None = None) -> dict:
+    """Naive walk of one regular-pair claim over every canonical pair in a window.
+
+    window is (max_codim, max_vars, max_weight, max_degree).  A pair (ds; ws)
+    is checked when no degree equals a weight (not a cone), it is 1-regular,
+    and the claim's own rule holds:
+      prop-regular: every weight > 1; bound c; gcd-one equality pairs must be
+        (6^s,1^(c-s); 3^s,2^s).
+      conjecture-regular: every weight > 1, gcd(ws) = 1 and c <= len(ws) - 1;
+        bound frobenius(ws).
+      lemma-qdiv: q divides every degree and weight; bound c*q; equality is
+        recorded with whether c = len(ws).
+    Returns {"checked", "counterexamples", "equality_witnesses"}, the lists
+    sorted by (pair, JSON).
+    """
+    max_codim, max_vars, max_weight, max_degree = window
+    checked, cex, wits = 0, [], []
+    for n1 in range(1, max_vars + 1):
+        for ws in combinations_with_replacement(range(max_weight, 0, -1), n1):
+            if claim == "lemma-qdiv":
+                if any(a % q for a in ws):
+                    continue
+            elif min(ws) == 1 or (claim == "conjecture-regular" and gcd(*ws) != 1):
+                continue
+            frob = frobenius(list(ws)) if claim == "conjecture-regular" else None
+            for c in range(1, max_codim + 1):
+                if claim == "conjecture-regular" and c > n1 - 1:
+                    continue
+                for ds in combinations_with_replacement(range(max_degree, 0, -1), c):
+                    if claim == "lemma-qdiv" and any(d % q for d in ds):
+                        continue
+                    if set(ds) & set(ws) or not h_regular(ds, ws, 1):
+                        continue
+                    checked += 1
+                    enc = _encode_pair(ds, ws)
+                    delta = sum(ds) - sum(ws)
+                    if claim == "prop-regular":
+                        key, bound = "codim", c
+                    elif claim == "lemma-qdiv":
+                        key, bound = "bound", c * q
+                    else:
+                        key, bound = "frobenius", frob
+                    if delta < bound:
+                        cex.append({"pair": enc, "delta": delta, key: bound})
+                    elif delta > bound:
+                        continue
+                    elif claim == "lemma-qdiv":
+                        wits.append(
+                            {"pair": enc, "codim": c, "nvars": n1, "c_equals_nvars": c == n1}
+                        )
+                    elif claim == "prop-regular" and gcd(*ws) == 1:
+                        s = ds.count(6)
+                        ok = ds == (6,) * s + (1,) * (c - s) and ws == (3,) * s + (2,) * s
+                        wits.append({"pair": enc, "s": s if ok else None, "matches_form": ok})
+                        if not ok:
+                            cex.append(
+                                {
+                                    "pair": enc,
+                                    "delta": c,
+                                    "reason": "equality pair not of the form (6^s,1^(c-s); 2^s,3^s)",
+                                }
+                            )
+
+    def order(entries):
+        return sorted(entries, key=lambda e: (e["pair"], json.dumps(e, sort_keys=True)))
+
+    return {"checked": checked, "counterexamples": order(cex), "equality_witnesses": order(wits)}

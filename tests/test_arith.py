@@ -1,5 +1,6 @@
 """Numerical semigroup primitives against brute-force oracles."""
 
+import math
 import random
 
 import pytest
@@ -10,29 +11,12 @@ from wcikit import arith
 from wcikit.arith import (
     brauer_bound,
     brauer_bound_min,
-    factorize,
     frobenius,
-    gcd_many,
     is_prime,
-    lcm_many,
     monomial_count,
     representable,
 )
 from wcikit.errors import CeilingExceededError, DomainError, UsageError
-
-
-def test_gcd_lcm_basics():
-    assert gcd_many([12, 18, 30]) == 6
-    assert gcd_many([7]) == 7
-    assert lcm_many([2, 3, 5]) == 30
-    assert lcm_many([6, 10, 15]) == 30
-
-
-def test_gcd_lcm_empty_rejected():
-    with pytest.raises(UsageError):
-        gcd_many([])
-    with pytest.raises(UsageError):
-        lcm_many([])
 
 
 def test_is_prime_small():
@@ -40,17 +24,6 @@ def test_is_prime_small():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert not is_prime(1)
     assert not is_prime(0)
-
-
-def test_factorize_round_trip():
-    for n in (2, 12, 30, 97, 360, 1024, 35 * 35):
-        fac = factorize(n)
-        prod = 1
-        for p, e in fac:
-            assert is_prime(p)
-            prod *= p**e
-        assert prod == n
-    assert factorize(1) == []
 
 
 @given(
@@ -104,7 +77,7 @@ def test_frobenius_pairs_closed_form():
     assert frobenius([2, 3]) == 1
     assert frobenius([3, 5]) == 7
     assert frobenius([5, 8]) == 27
-    pairs = [(a, b) for a in range(2, 40) for b in range(a + 1, 60) if gcd_many([a, b]) == 1]
+    pairs = [(a, b) for a in range(2, 40) for b in range(a + 1, 60) if math.gcd(a, b) == 1]
     pairs += [(97, 101), (1000, 1001), (2999, 3001), (3001, 3011)]
     for a, b in pairs:
         assert frobenius([a, b]) == a * b - a - b
@@ -127,7 +100,7 @@ def test_frobenius_requires_gcd_one():
 @settings(max_examples=150)
 @given(
     gens=st.lists(st.integers(min_value=1, max_value=60), min_size=2, max_size=5).filter(
-        lambda g: gcd_many(g) == 1
+        lambda g: math.gcd(*g) == 1
     )
 )
 def test_frobenius_matches_oracle(gens):
@@ -145,12 +118,14 @@ def test_brauer_bound_order_sensitive():
     assert brauer_bound([10, 15, 14, 21]) == 61
     assert brauer_bound([2, 3]) == 1  # sharp for coprime pairs: ab - a - b
     assert brauer_bound_min([10, 15, 14, 21]) == 61
+    with pytest.raises(UsageError):
+        brauer_bound([])
 
 
 @settings(max_examples=100)
 @given(
     gens=st.lists(st.integers(min_value=2, max_value=24), min_size=2, max_size=4).filter(
-        lambda g: gcd_many(g) == 1
+        lambda g: math.gcd(*g) == 1
     )
 )
 def test_brauer_bound_dominates_frobenius(gens):

@@ -4,7 +4,10 @@ import math
 
 import pytest
 
+import oracles
+from wcikit import verify
 from wcikit.errors import BoundsExceededError, UsageError
+from wcikit.pairs import Pair, delta
 from wcikit.verify import (
     CLAIMS,
     SearchBounds,
@@ -89,6 +92,47 @@ def test_hypersurface_small_window():
         SearchBounds(max_codim=1, max_vars=4, max_weight=6, max_degree=18)
     )
     assert report.counterexamples == ()
+
+
+# Tiny windows (codim <= 3, vars <= 4, weight <= 9, degree <= 16, plus the
+# pinned 928 window) on which every regular-pair claim is walked naively.
+REGULAR_GRID = [
+    ("prop-regular", (2, 4, 8, 16), None),
+    ("prop-regular", (3, 3, 6, 12), None),
+    ("prop-regular", (3, 4, 6, 13), None),
+    ("prop-regular", (1, 4, 9, 16), None),
+    ("conjecture-regular", (2, 4, 8, 32), None),
+    ("conjecture-regular", (2, 3, 7, 14), None),
+    ("conjecture-regular", (3, 4, 9, 12), None),
+    ("lemma-qdiv", (2, 3, 9, 12), 3),
+    ("lemma-qdiv", (3, 4, 9, 16), 2),
+    ("lemma-qdiv", (3, 4, 9, 16), 3),
+]
+
+
+@pytest.mark.parametrize(
+    "claim, window, q",
+    REGULAR_GRID,
+    ids=[f"{claim}-{'-'.join(map(str, window))}-q{q}" for claim, window, q in REGULAR_GRID],
+)
+def test_regular_claims_match_naive_walk(claim, window, q):
+    expected = oracles.verify_regular(claim, window, q)
+    kwargs = {"q": q} if q else {}
+    for workers in (1, 2):
+        report = CLAIMS[claim](SearchBounds(*window), workers=workers, **kwargs)
+        got = report.as_dict(include_elapsed=False)
+        assert {key: got[key] for key in expected} == expected, workers
+
+
+def test_conjecture_counterexamples_carry_the_frobenius_bound(monkeypatch):
+    monkeypatch.setattr(verify, "_frobenius_cached", lambda weights: 10**6)
+    report = verify_conjecture_regular(SearchBounds(2, 4, 8, 16), workers=1)
+    assert report.instances_checked > 0
+    assert len(report.counterexamples) == report.instances_checked
+    for entry in report.counterexamples:
+        assert set(entry) == {"pair", "delta", "frobenius"}
+        assert entry["frobenius"] == 10**6
+        assert entry["delta"] == delta(Pair.parse(entry["pair"]))
 
 
 def test_reports_deterministic_across_worker_counts():
