@@ -7,12 +7,13 @@ by canonical encoding, so output is byte-identical for any worker count.
 
 Regularity is decided wholesale: a weight tuple induces requirements
 (g -> minimum count of degrees divisible by g), degree multisets are
-pre-grouped by their divisibility signature, and only matching groups are
-visited; every entry of a matched group is then compared with the claim's
-amplitude threshold.  The three regular-pair claims share one driver,
-`_part_regular`, and differ only in that bound and in what an equality case
-records.  Only the nonvanishing claim bisects: its degree multisets are sorted
-by sum per codimension, so delta <= 0 is a prefix.
+pre-grouped by their divisibility signature, and a bitset index over the
+signatures (one Python int per g and count) finds the matching groups with
+one AND per requirement; every entry of a matched group is then compared with
+the claim's amplitude threshold.  The three regular-pair claims share one
+partition worker, `_part_regular`, and differ only in that bound and in what
+an equality case records.  Only the nonvanishing claim bisects: its degree
+multisets are sorted by sum per codimension, so delta <= 0 is a prefix.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from __future__ import annotations
 import json
 import math
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
 from time import perf_counter
@@ -157,17 +158,22 @@ def _count_tuples(num_values: int, min_len: int, max_len: int) -> int:
 
 
 def _regularity_requirements(weights: tuple[int, ...]) -> dict[int, int]:
-    """g -> required count of g-divisible degrees for the pair to be regular."""
-    mult = Counter(weights)
-    values = [v for v in mult if v > 1]
+    """g -> required count of g-divisible degrees for the pair to be regular.
+
+    A pair is 1-regular when, for every subset of the weights with gcd h > 1,
+    at least as many degrees as the subset has entries are divisible by h.
+    The map {g: number of weights divisible by g}, over every g >= 2 dividing
+    some weight, selects exactly the same degree multisets.  A subset with gcd
+    h lies inside the weights divisible by h, so the map asks at least as much
+    as the subset does.  Conversely, the weights divisible by g have a gcd g'
+    with g | g', that subset asks for that many degrees divisible by g', and
+    every degree divisible by g' is divisible by g.
+    """
     req: dict[int, int] = {}
-    for size in range(1, len(values) + 1):
-        for subset in combinations(values, size):
-            g = reduce(math.gcd, subset)
-            if g > 1:
-                k = sum(mult[v] for v in subset)
-                if req.get(g, 0) < k:
-                    req[g] = k
+    for g in range(2, max(weights) + 1):
+        k = sum(1 for a in weights if a % g == 0)
+        if k:
+            req[g] = k
     return req
 
 
@@ -179,7 +185,7 @@ def _degree_universe(
 
     The signature of a multiset is (count of entries divisible by g, capped at
     max_codim) for g in 2..sig_max; a requirement map is satisfied by exactly
-    the groups whose signature dominates it.
+    the groups whose signature dominates it, which `_dominance_index` finds.
     """
     values = [d for d in range(max_degree, min_degree - 1, -1) if d % divisor == 0]
     groups: dict[tuple[int, ...], list] = {}
@@ -195,10 +201,30 @@ def _degree_universe(
     }
 
 
+@lru_cache(maxsize=16)
+def _dominance_index(universe_key: tuple) -> tuple[tuple, dict[tuple[int, int], int]]:
+    """(signatures in universe order, {(g, k): bitset}) of one degree universe.
+
+    Bit i of the (g, k) bitset is set when signature i counts at least k
+    degrees divisible by g, for 2 <= g <= sig_max and 1 <= k <= max_codim.
+    Built lazily by the first process that matches, never before a pool forks.
+    """
+    sigs = tuple(_degree_universe(*universe_key))
+    max_codim, sig_max = universe_key[0], universe_key[4]
+    bits = {(g, k): 0 for g in range(2, sig_max + 1) for k in range(1, max_codim + 1)}
+    for i, sig in enumerate(sigs):
+        bit = 1 << i
+        for g, count in enumerate(sig, start=2):
+            for k in range(1, count + 1):
+                bits[g, k] |= bit
+    return sigs, bits
+
+
 _match_cache: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
 
 def _matching_sigs(universe_key: tuple, req: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """Signatures that dominate req, in universe order: one AND per entry."""
     max_codim = universe_key[0]
     if any(k > max_codim for k in req.values()):
         return ()
@@ -206,13 +232,16 @@ def _matching_sigs(universe_key: tuple, req: dict[int, int]) -> tuple[tuple[int,
     hit = _match_cache.get(key)
     if hit is not None:
         return hit
-    universe = _degree_universe(*universe_key)
-    result = tuple(
-        sig
-        for sig in universe
-        if all(sig[g - 2] >= k for g, k in req.items())
-    )
-    _match_cache[key] = result
+    sigs, bits = _dominance_index(universe_key)
+    mask = (1 << len(sigs)) - 1
+    for g, k in req.items():
+        mask &= bits[g, k]
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(sigs[low.bit_length() - 1])
+        mask ^= low
+    result = _match_cache[key] = tuple(found)
     return result
 
 
@@ -586,15 +615,19 @@ def _run_claim(claim: str, bounds: SearchBounds, q=None, workers: int | None = N
     filters = _family_filters_requested(bounds)
     if filters:
         raise UsageError(f"filters {filters} apply only to enumerate_instances, not to {claim}")
+    if workers is None:
+        workers = 1
+    elif workers < 1:
+        raise UsageError(f"workers must be at least 1, got {workers}")
     start = perf_counter()
     ceiling = instance_ceiling()
     estimate = _estimate(claim, bounds, q, ceiling)
     if estimate > ceiling:
         raise BoundsExceededError(estimate, ceiling)
-    workers = workers or 1
     tasks = [(claim, bounds, q, first) for first in _domain(claim, bounds, q)[1]]
     if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Under fork the pool starts every worker up front; never more than tasks.
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             parts = list(pool.map(_run_partition, tasks))
     else:
         parts = [_run_partition(t) for t in tasks]

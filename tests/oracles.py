@@ -250,6 +250,15 @@ def _encode_pair(degrees: tuple[int, ...], weights: tuple[int, ...]) -> str:
     return ",".join(map(str, sorted(degrees, reverse=True))) + "/" + ",".join(runs)
 
 
+def matching_sigs(universe: dict, req: dict[int, int]) -> tuple[tuple[int, ...], ...]:
+    """Signatures of a degree universe that dominate req, by scanning them all.
+
+    A signature lists, for g = 2, 3, ..., the count of degrees divisible by g;
+    it dominates req when that count is at least k for every g -> k in req.
+    """
+    return tuple(sig for sig in universe if all(sig[g - 2] >= k for g, k in req.items()))
+
+
 def verify_regular(claim: str, window: tuple[int, int, int, int], q: int | None = None) -> dict:
     """Naive walk of one regular-pair claim over every canonical pair in a window.
 

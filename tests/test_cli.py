@@ -298,6 +298,16 @@ def test_verify_q_handling(capsys):
     assert run_cli(["verify", "lemma-qdiv", *VERIFY_ARGS, "--q", "4"], capsys)[0] == 2
 
 
+def test_verify_refuses_workers_below_one(capsys):
+    for workers in ("0", "-1"):
+        code, out, err = run_cli(
+            ["verify", "prop-regular", *VERIFY_ARGS, "--workers", workers], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "workers" in err
+
+
 def test_verify_ceiling_refusal(capsys):
     code, _, err = run_cli(
         ["verify", "prop-regular", "--max-codim", "6", "--max-vars", "12",

@@ -144,6 +144,69 @@ def test_reports_deterministic_across_worker_counts():
     assert q_one.canonical_json() == q_three.canonical_json()
 
 
+def test_workers_below_one_refused():
+    for workers in (0, -1):
+        with pytest.raises(UsageError, match="workers"):
+            verify_prop_regular(SMALL, workers=workers)
+
+
+def test_pool_never_outnumbers_partitions(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    report = verify_prop_regular(SMALL, workers=10**6)
+    assert sizes == [7]  # one partition per weight 2..8
+    assert report.instances_checked == 621
+
+
+# Every requirement map of these windows; the lemma-qdiv one walks the
+# divisor-2 universe.
+MATCH_WINDOWS = [
+    ("prop-regular", (3, 5, 8, 24), None),
+    ("conjecture-regular", (2, 5, 10, 30), None),
+    ("lemma-qdiv", (3, 6, 12, 30), 2),
+]
+
+
+@pytest.mark.parametrize("claim, window, q", MATCH_WINDOWS, ids=[w[0] for w in MATCH_WINDOWS])
+def test_dominance_index_matches_naive_scan(claim, window, q):
+    verify._match_cache.clear()  # compare fresh ANDs, not earlier tests' results
+    spec, values, universe_key = verify._domain(claim, SearchBounds(*window), q)
+    universe = verify._degree_universe(*universe_key)
+    reqs = {
+        tuple(verify._regularity_requirements(weights).items())
+        for first in values
+        for weights in verify._tuples_with_first(first, values, spec.min_len, window[1])
+    }
+    assert len(reqs) > 10
+    for req in map(dict, sorted(reqs)):
+        assert verify._matching_sigs(universe_key, req) == oracles.matching_sigs(universe, req), req
+    over = {2: window[0] + 1}
+    assert verify._matching_sigs(universe_key, over) == () == oracles.matching_sigs(universe, over)
+
+
+def test_no_universe_built_before_the_pool_forks():
+    verify._degree_universe.cache_clear()
+    verify._dominance_index.cache_clear()
+    report = verify_prop_regular(SearchBounds(2, 4, 6, 12), workers=2)
+    assert report.instances_checked > 0
+    assert verify._degree_universe.cache_info().currsize == 0
+    assert verify._dominance_index.cache_info().currsize == 0
+
+
 def test_report_serialization_shape():
     report = verify_prop_regular(SMALL)
     data = report.as_dict()
