@@ -178,23 +178,20 @@ def _cmd_base_locus(args) -> int:
 
 
 def _bounds_from(args) -> verify.SearchBounds:
-    return verify.SearchBounds(
-        max_codim=args.max_codim,
-        max_vars=args.max_vars,
-        max_weight=args.max_weight,
-        max_degree=args.max_degree,
-        require_fano=getattr(args, "fano", False),
-        require_calabi_yau=getattr(args, "calabi_yau", False),
-        require_smooth=getattr(args, "smooth", False),
-        require_quasi_smooth=getattr(args, "quasi_smooth", False),
-        require_well_formed=getattr(args, "well_formed", False),
-        exclude_linear_cones=getattr(args, "non_cone", False),
-        gcd_one_weights=getattr(args, "gcd_one", False),
-    )
+    return verify.SearchBounds(args.max_codim, args.max_vars, args.max_weight, args.max_degree)
 
 
 def _cmd_enumerate(args) -> int:
-    instances = verify.enumerate_instances(_bounds_from(args), args.kind)
+    keep = verify.FamilyFilter(
+        require_fano=args.fano,
+        require_calabi_yau=args.calabi_yau,
+        require_smooth=args.smooth,
+        require_quasi_smooth=args.quasi_smooth,
+        require_well_formed=args.well_formed,
+        exclude_linear_cones=args.non_cone,
+        gcd_one_weights=args.gcd_one,
+    )
+    instances = verify.enumerate_instances(_bounds_from(args), args.kind, keep)
     for encoding, annotations in instances:
         if args.json:
             _emit_json({"instance": encoding, **annotations})

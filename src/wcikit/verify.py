@@ -1,9 +1,11 @@
 """Bounded exhaustive verification of the amplitude and nonvanishing claims.
 
 Every claim quantifies over canonical (sorted-descending) pairs or families
-inside finite SearchBounds.  Enumeration is partitioned by the largest weight
-entry; partitions can run on worker processes and the merged report is sorted
-by canonical encoding, so output is byte-identical for any worker count.
+inside a finite window, a SearchBounds.  Enumeration is partitioned by the
+largest weight entry; partitions can run on worker processes and the merged
+report is sorted by canonical encoding, so output is byte-identical for any
+worker count.  `enumerate_instances` walks the same weight-tuple domain and
+alone takes a FamilyFilter, which selects the families it lists.
 
 Regularity is decided wholesale: a weight tuple induces requirements
 (g -> minimum count of degrees divisible by g), degree multisets are
@@ -25,7 +27,7 @@ from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
 from time import perf_counter
@@ -48,32 +50,16 @@ from .wci import (
 
 DEFAULT_CEILING = 10**8
 
-_FILTER_NAMES = (
-    "require_fano",
-    "require_calabi_yau",
-    "require_smooth",
-    "require_quasi_smooth",
-    "require_well_formed",
-    "exclude_linear_cones",
-    "gcd_one_weights",
-)
-
 
 @dataclass(frozen=True)
 class SearchBounds:
-    """Finite search window plus optional instance filters."""
+    """Finite search window: the largest codimension, number of variables,
+    weight and degree of an instance."""
 
     max_codim: int
     max_vars: int
     max_weight: int
     max_degree: int
-    require_fano: bool = False
-    require_calabi_yau: bool = False
-    require_smooth: bool = False
-    require_quasi_smooth: bool = False
-    require_well_formed: bool = False
-    exclude_linear_cones: bool = False
-    gcd_one_weights: bool = False
 
     def __post_init__(self):
         if self.max_codim < 0:
@@ -82,14 +68,34 @@ class SearchBounds:
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be at least 1")
 
-    def as_dict(self) -> dict:
-        return {
-            "max_codim": self.max_codim,
-            "max_vars": self.max_vars,
-            "max_weight": self.max_weight,
-            "max_degree": self.max_degree,
-            "filters": {name: getattr(self, name) for name in _FILTER_NAMES},
-        }
+
+@dataclass(frozen=True)
+class FamilyFilter:
+    """Which enumerated instances `enumerate_instances` keeps; all off keeps all.
+
+    gcd_one_weights reads only the weights; the others read a family's
+    annotations and apply to kind='families' only.
+    """
+
+    require_fano: bool = False
+    require_calabi_yau: bool = False
+    require_smooth: bool = False
+    require_quasi_smooth: bool = False
+    require_well_formed: bool = False
+    exclude_linear_cones: bool = False
+    gcd_one_weights: bool = False
+
+    def keeps(self, ann: dict) -> bool:
+        """Do a family's annotations pass the geometric filters?"""
+        wanted = {"fano": self.require_fano, "calabi_yau": self.require_calabi_yau}
+        kinds = [kind for kind, on in wanted.items() if on]
+        return not (
+            (self.exclude_linear_cones and ann["linear_cone"])
+            or (self.require_well_formed and not ann["well_formed"])
+            or (self.require_quasi_smooth and not ann["quasi_smooth"])
+            or (self.require_smooth and not ann["smooth"])
+            or (kinds and ann["kind"] not in kinds)
+        )
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,7 @@ class VerifyReport:
     def as_dict(self, include_elapsed: bool = True) -> dict:
         out = {
             "claim": self.claim,
-            "bounds": self.bounds.as_dict(),
+            "bounds": {**asdict(self.bounds), "filters": asdict(FamilyFilter())},
             "checked": self.instances_checked,
             "counterexamples": list(self.counterexamples),
             "equality_witnesses": list(self.equality_witnesses),
@@ -578,10 +584,14 @@ _CLAIM_SPECS = {
 
 
 def _domain(claim: str, bounds: SearchBounds, q) -> tuple[_Claim, list[int], tuple]:
-    """(spec, weight values, degree-universe key) of a claim in a window."""
+    """(spec, weight values, degree-universe key) of a claim in a window.
+
+    Every claim's instances have codim >= 1, so a window with max_codim 0 has
+    no weight values: no partitions, and an estimate of 0.
+    """
     spec = _CLAIM_SPECS[claim]
     divisor = q if spec.over_q else 1
-    values = _weight_values(bounds.max_weight, spec.min_weight, divisor)
+    values = _weight_values(bounds.max_weight, spec.min_weight, divisor) if bounds.max_codim else []
     return spec, values, (bounds.max_codim, bounds.max_degree, 1, divisor, bounds.max_weight)
 
 
@@ -611,19 +621,21 @@ def _run_partition(args):
 # -- drivers ----------------------------------------------------------------------
 
 
+def _within_ceiling(estimate: Callable[[int], int]) -> None:
+    """Refuse a run whose instance estimate, given the ceiling, exceeds it."""
+    ceiling = instance_ceiling()
+    count = estimate(ceiling)
+    if count > ceiling:
+        raise BoundsExceededError(count, ceiling)
+
+
 def _run_claim(claim: str, bounds: SearchBounds, q=None, workers: int | None = None) -> VerifyReport:
-    filters = _family_filters_requested(bounds)
-    if filters:
-        raise UsageError(f"filters {filters} apply only to enumerate_instances, not to {claim}")
     if workers is None:
         workers = 1
     elif workers < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")
     start = perf_counter()
-    ceiling = instance_ceiling()
-    estimate = _estimate(claim, bounds, q, ceiling)
-    if estimate > ceiling:
-        raise BoundsExceededError(estimate, ceiling)
+    _within_ceiling(lambda ceiling: _estimate(claim, bounds, q, ceiling))
     tasks = [(claim, bounds, q, first) for first in _domain(claim, bounds, q)[1]]
     if workers > 1 and len(tasks) > 1:
         # Under fork the pool starts every worker up front; never more than tasks.
@@ -680,10 +692,6 @@ CLAIMS = {
 # -- instance enumeration ----------------------------------------------------------
 
 
-def _family_filters_requested(bounds: SearchBounds) -> list[str]:
-    return [name for name in _FILTER_NAMES if getattr(bounds, name)]
-
-
 def _pair_annotations(ds: tuple[int, ...], weights: tuple[int, ...]) -> dict:
     pair = Pair.of(ds, weights)
     return {
@@ -707,79 +715,45 @@ def _family_annotations(family: WciFamily) -> dict:
     }
 
 
-def _family_passes(bounds: SearchBounds, ann: dict, weights: tuple[int, ...]) -> bool:
-    if bounds.exclude_linear_cones and ann["linear_cone"]:
-        return False
-    if bounds.require_well_formed and not ann["well_formed"]:
-        return False
-    if bounds.require_quasi_smooth and not ann["quasi_smooth"]:
-        return False
-    if bounds.require_smooth and not ann["smooth"]:
-        return False
-    if bounds.gcd_one_weights and reduce(math.gcd, weights) != 1:
-        return False
-    if bounds.require_fano or bounds.require_calabi_yau:
-        wanted = set()
-        if bounds.require_fano:
-            wanted.add("fano")
-        if bounds.require_calabi_yau:
-            wanted.add("calabi_yau")
-        if ann["kind"] not in wanted:
-            return False
-    return True
-
-
-def enumerate_instances(bounds: SearchBounds, kind: str = "families") -> list[tuple[str, dict]]:
+def enumerate_instances(
+    bounds: SearchBounds, kind: str = "families", keep: FamilyFilter = FamilyFilter()
+) -> list[tuple[str, dict]]:
     """Canonical encodings with per-instance annotations, sorted by encoding.
 
-    kind='pairs' streams bare degree/weight pairs (codim may be 0) annotated
-    with the pair predicates; geometric filters are rejected.  kind='families'
-    streams shape-valid families annotated with the geometric predicates, and
-    the bounds filters drop non-matching instances.
+    kind='pairs' yields bare degree/weight pairs (codim may be 0) annotated
+    with the pair predicates; of keep, only gcd_one_weights applies and the
+    other filters are refused.  kind='families' yields shape-valid families
+    (at least two weights, 1 <= c <= n) annotated with the geometric
+    predicates, and keep drops the non-matching ones.
     """
     if kind not in ("pairs", "families"):
         raise UsageError(f"kind must be 'pairs' or 'families', got {kind!r}")
+    families = kind == "families"
+    if not families:
+        refused = [name for name, on in asdict(keep).items() if on and name != "gcd_one_weights"]
+        if refused:
+            raise UsageError(f"filters {refused} apply only to kind='families'")
+    min_len, min_codim = (2, 1) if families else (1, 0)
     values = _weight_values(bounds.max_weight)
-    num_degree_values = bounds.max_degree
-    if kind == "pairs":
-        geometric = [
-            name
-            for name in _family_filters_requested(bounds)
-            if name != "gcd_one_weights"
-        ]
-        if geometric:
-            raise UsageError(f"filters {geometric} apply only to kind='families'")
-        estimate = _count_tuples(num_degree_values, 0, bounds.max_codim) * _count_tuples(
-            len(values), 1, bounds.max_vars
-        )
-    else:
-        estimate = _count_tuples(num_degree_values, 1, bounds.max_codim) * _count_tuples(
-            len(values), 2, bounds.max_vars
-        )
-    ceiling = instance_ceiling()
-    if estimate > ceiling:
-        raise BoundsExceededError(estimate, ceiling)
-
+    _within_ceiling(
+        lambda ceiling: _count_tuples(bounds.max_degree, min_codim, bounds.max_codim)
+        * _count_tuples(len(values), min_len, bounds.max_vars)
+    )
+    degree_values = _weight_values(bounds.max_degree)
     out: list[tuple[str, dict]] = []
-    degree_values = list(range(bounds.max_degree, 0, -1))
-    if kind == "pairs":
-        for wlen in range(1, bounds.max_vars + 1):
-            for weights in combinations_with_replacement(values, wlen):
-                gcd_one = reduce(math.gcd, weights) == 1
-                if bounds.gcd_one_weights and not gcd_one:
-                    continue
-                for c in range(0, bounds.max_codim + 1):
-                    for ds in combinations_with_replacement(degree_values, c):
+    for first in values:
+        for weights in _tuples_with_first(first, values, min_len, bounds.max_vars):
+            if keep.gcd_one_weights and reduce(math.gcd, weights) != 1:
+                continue
+            max_c = min(bounds.max_codim, len(weights) - 1) if families else bounds.max_codim
+            for c in range(min_codim, max_c + 1):
+                for ds in combinations_with_replacement(degree_values, c):
+                    if not families:
                         out.append((_pair_encoding(ds, weights), _pair_annotations(ds, weights)))
-    else:
-        for wlen in range(2, bounds.max_vars + 1):
-            for weights in combinations_with_replacement(values, wlen):
-                max_c = min(bounds.max_codim, wlen - 1)
-                for c in range(1, max_c + 1):
-                    for ds in combinations_with_replacement(degree_values, c):
-                        family = WciFamily.of(ds, weights)
-                        ann = _family_annotations(family)
-                        if _family_passes(bounds, ann, weights):
-                            out.append((family.encode(), ann))
-    out.sort(key=lambda item: (item[0], ))
+                        continue
+                    family = WciFamily.of(ds, weights)
+                    ann = _family_annotations(family)
+                    if keep.keeps(ann):
+                        out.append((family.encode(), ann))
+    out.sort(key=lambda item: item[0])
     return out

@@ -241,13 +241,17 @@ def h0(degrees: tuple[int, ...], weights: tuple[int, ...], k: int) -> int:
 # -- regular-pair claims -------------------------------------------------------------
 
 
+def _run_length(weights: tuple[int, ...]) -> str:
+    """'a^m,...': the weights run-length encoded, descending."""
+    ws = sorted(weights, reverse=True)
+    return ",".join(
+        f"{a}^{ws.count(a)}" if ws.count(a) > 1 else str(a) for a in sorted(set(ws), reverse=True)
+    )
+
+
 def _encode_pair(degrees: tuple[int, ...], weights: tuple[int, ...]) -> str:
     """'d1,d2,.../a^m,...': degrees listed, weights run-length encoded, both descending."""
-    ws = sorted(weights, reverse=True)
-    runs = [
-        f"{a}^{ws.count(a)}" if ws.count(a) > 1 else str(a) for a in sorted(set(ws), reverse=True)
-    ]
-    return ",".join(map(str, sorted(degrees, reverse=True))) + "/" + ",".join(runs)
+    return ",".join(map(str, sorted(degrees, reverse=True))) + "/" + _run_length(weights)
 
 
 def matching_sigs(universe: dict, req: dict[int, int]) -> tuple[tuple[int, ...], ...]:
@@ -322,7 +326,165 @@ def verify_regular(claim: str, window: tuple[int, int, int, int], q: int | None 
                                 }
                             )
 
+    return _report(checked, cex, wits)
+
+
+def _report(checked: int, cex: list, wits: list) -> dict:
+    """The compared part of a report; entries sorted by (encoding, JSON)."""
+
     def order(entries):
-        return sorted(entries, key=lambda e: (e["pair"], json.dumps(e, sort_keys=True)))
+        def key(e):
+            enc = e.get("pair") or e.get("family") or e.get("weights")
+            return (enc, json.dumps(e, sort_keys=True))
+
+        return sorted(entries, key=key)
 
     return {"checked": checked, "counterexamples": order(cex), "equality_witnesses": order(wits)}
+
+
+# -- family claims -------------------------------------------------------------------
+
+
+def space_well_formed(weights: tuple[int, ...]) -> bool:
+    """The gcd of any n of the n+1 weights is 1 (every one-coordinate drop)."""
+    return all(gcd(*(weights[:i] + weights[i + 1:])) == 1 for i in range(len(weights)))
+
+
+def _family_weights(max_vars: int, max_weight: int):
+    """Every descending weight tuple with 2 <= length <= max_vars."""
+    for n1 in range(2, max_vars + 1):
+        yield from combinations_with_replacement(range(max_weight, 0, -1), n1)
+
+
+def _canonical_families(window: tuple[int, int, int, int]):
+    """(ds, ws) for every family of the window: 2 <= len(ws) <= max_vars,
+    1 <= c <= min(max_codim, len(ws) - 1), both sides descending."""
+    max_codim, max_vars, max_weight, max_degree = window
+    for ws in _family_weights(max_vars, max_weight):
+        for c in range(1, min(max_codim, len(ws) - 1) + 1):
+            for ds in combinations_with_replacement(range(max_degree, 0, -1), c):
+                yield ds, ws
+
+
+def _geometric(ds: tuple[int, ...], ws: tuple[int, ...]) -> bool:
+    """Not a linear cone, ambient and family well formed, quasi-smooth."""
+    return (
+        not set(ds) & set(ws)
+        and space_well_formed(ws)
+        and wci_well_formed(ds, ws)
+        and quasi_smooth(ds, ws)
+    )
+
+
+def verify_nonvanishing(window: tuple[int, int, int, int]) -> dict:
+    """Naive walk of the nonvanishing claim over every canonical family in a window.
+
+    A family is checked when it is geometric (see _geometric) with delta <= 0.
+    Its fundamental system must have a section; a smooth one must also have
+    c1 >= c units among its weights, c1 = c only for (6^c; 3^c,2^c,1^c) (a
+    witness either way), and c1 > the Fano index -delta.
+    """
+    checked, cex, wits = 0, [], []
+    for ds, ws in _canonical_families(window):
+        delta = sum(ds) - sum(ws)
+        if delta > 0 or not _geometric(ds, ws):
+            continue
+        checked += 1
+        enc, c = _encode_pair(ds, ws), len(ds)
+        index = fundamental_index(ds, ws)
+        if h0(ds, ws, index) < 1:
+            cex.append({"family": enc, "check": "nonvanishing", "index": index, "h0": 0})
+        if not is_smooth(ds, ws):
+            continue
+        c1 = ws.count(1)
+        if c1 < c:
+            cex.append({"family": enc, "check": "c1_ge_c", "c1": c1, "codim": c})
+        elif c1 == c:
+            ok = ds == (6,) * c and ws == (3,) * c + (2,) * c + (1,) * c
+            wits.append({"family": enc, "c1": c1, "is_expected_form": ok})
+            if not ok:
+                cex.append(
+                    {
+                        "family": enc,
+                        "check": "equality_form",
+                        "reason": "c1 = c outside the classified family",
+                    }
+                )
+        if c1 <= -delta:
+            cex.append({"family": enc, "check": "c1_gt_index", "c1": c1, "fano_index": -delta})
+    return _report(checked, cex, wits)
+
+
+def base_locus(ds: tuple[int, ...], ws: tuple[int, ...], ell: int) -> list[tuple[int, ...]]:
+    """Inclusion-maximal value subsets W (ascending, in lex order) whose stratum
+    a general member meets and on which no monomial has degree ell."""
+    values = sorted(set(ws))
+    hits = []
+    for k in range(1, len(values) + 1):
+        for W in combinations(values, k):
+            idx = tuple(i for i, a in enumerate(ws) if a in W)
+            if not representable(ell, W) and stratum_meets(ds, ws, idx):
+                hits.append(W)
+    return sorted(W for W in hits if not any(set(W) < set(V) for V in hits))
+
+
+def verify_hypersurface(window: tuple[int, int, int, int]) -> dict:
+    """Naive walk of the hypersurface claim over every canonical family in a window.
+
+    No codim-1 family fits a window with max_codim 0, so nothing is checked.
+    (a) For weights where no weight divides the lcm of the pairwise gcds, one
+    instance: lcm(ws) - sum(ws) >= lcm(a_s, a_t) - a_s - a_t for every pair of
+    positions.  (b) For each geometric hypersurface (f; ws) with f <= max_degree:
+    h0(h') >= 1 at every multiple h' <= max_degree of the index i with
+    h' > max(delta, 0); (c) when i divides delta, |O(delta + m*i)| is
+    base-point free for n <= m <= n + 2 wherever delta + m*i >= 1.
+    """
+    max_codim, max_vars, max_weight, max_degree = window
+    checked, cex = 0, []
+    if max_codim < 1:
+        return _report(checked, cex, [])
+    for ws in _family_weights(max_vars, max_weight):
+        pair_gcds = [gcd(x, y) for x, y in combinations(ws, 2)]
+        if all(lcm(*pair_gcds) % a for a in ws):
+            checked += 1
+            lhs = lcm(*ws) - sum(ws)
+            for a_s, a_t in combinations(ws, 2):
+                rhs = lcm(a_s, a_t) - a_s - a_t
+                if lhs < rhs:
+                    cex.append(
+                        {
+                            "part": "a",
+                            "weights": _run_length(ws),
+                            "s": a_s,
+                            "t": a_t,
+                            "lhs": lhs,
+                            "rhs": rhs,
+                        }
+                    )
+        for f in range(1, max_degree + 1):
+            if not _geometric((f,), ws):
+                continue
+            checked += 1
+            enc = _encode_pair((f,), ws)
+            delta = f - sum(ws)
+            index = fundamental_index((f,), ws)
+            for h_prime in range(1, max_degree + 1):
+                if h_prime % index == 0 and h_prime > max(delta, 0) and h0((f,), ws, h_prime) < 1:
+                    cex.append({"part": "b", "family": enc, "h_prime": h_prime, "h0": 0})
+            if delta % index:
+                continue
+            n = len(ws) - 1
+            for m in range(n, n + 3):
+                ell = delta + m * index
+                components = base_locus((f,), ws, ell) if ell >= 1 else []
+                if components:
+                    cex.append(
+                        {
+                            "part": "c",
+                            "family": enc,
+                            "ell": ell,
+                            "m": m,
+                            "components": [list(W) for W in components],
+                        }
+                    )
+    return _report(checked, cex, [])

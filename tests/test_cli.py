@@ -308,6 +308,16 @@ def test_verify_refuses_workers_below_one(capsys):
         assert "workers" in err
 
 
+def test_verify_hypersurface_without_codim_one(capsys):
+    code, out, _ = run_cli(
+        ["verify", "hypersurface", "--max-codim", "0", "--max-vars", "3", "--max-weight", "3",
+         "--max-degree", "4", "--workers", "1"],
+        capsys,
+    )
+    assert code == 0
+    assert "checked: 0" in out
+
+
 def test_verify_ceiling_refusal(capsys):
     code, _, err = run_cli(
         ["verify", "prop-regular", "--max-codim", "6", "--max-vars", "12",

@@ -10,6 +10,7 @@ from wcikit.errors import BoundsExceededError, UsageError
 from wcikit.pairs import Pair, delta
 from wcikit.verify import (
     CLAIMS,
+    FamilyFilter,
     SearchBounds,
     enumerate_instances,
     instance_ceiling,
@@ -124,6 +125,42 @@ def test_regular_claims_match_naive_walk(claim, window, q):
         assert {key: got[key] for key in expected} == expected, workers
 
 
+# Tiny windows on which the two family claims are walked naively; (0, 3, 3, 4)
+# admits no codim-1 family, so the hypersurface claim checks nothing there.
+FAMILY_GRID = [
+    ("nonvanishing", (2, 4, 6, 12)),
+    ("nonvanishing", (3, 5, 4, 8)),
+    ("nonvanishing", (1, 4, 7, 14)),
+    ("nonvanishing", (3, 5, 6, 12)),
+    ("hypersurface", (1, 4, 6, 18)),
+    ("hypersurface", (0, 3, 3, 4)),
+    ("hypersurface", (1, 3, 9, 20)),
+    ("hypersurface", (2, 4, 5, 12)),
+    ("hypersurface", (1, 5, 6, 24)),
+]
+
+
+@pytest.mark.parametrize(
+    "claim, window",
+    FAMILY_GRID,
+    ids=[f"{claim}-{'-'.join(map(str, window))}" for claim, window in FAMILY_GRID],
+)
+def test_family_claims_match_naive_walk(claim, window):
+    expected = getattr(oracles, f"verify_{claim}")(window)
+    for workers in (1, 2):
+        report = CLAIMS[claim](SearchBounds(*window), workers=workers)
+        got = report.as_dict(include_elapsed=False)
+        assert {key: got[key] for key in expected} == expected, workers
+
+
+def test_hypersurface_checks_nothing_without_codim_one():
+    window = SearchBounds(max_codim=0, max_vars=3, max_weight=3, max_degree=4)
+    assert verify._estimate("hypersurface", window, None, instance_ceiling()) == 0
+    for workers in (1, 2):
+        report = verify_hypersurface(window, workers=workers)
+        assert (report.instances_checked, report.counterexamples) == (0, ())
+
+
 def test_conjecture_counterexamples_carry_the_frobenius_bound(monkeypatch):
     monkeypatch.setattr(verify, "_frobenius_cached", lambda weights: 10**6)
     report = verify_conjecture_regular(SearchBounds(2, 4, 8, 16), workers=1)
@@ -225,12 +262,9 @@ def test_report_serialization_shape():
 
 
 def test_verify_refuses_family_filters():
-    for claim in CLAIMS.values():
-        kwargs = {"q": 2} if claim is verify_lemma_qdiv else {}
-        with pytest.raises(UsageError, match="require_fano"):
-            claim(SearchBounds(2, 3, 4, 6, require_fano=True), **kwargs)
-    with pytest.raises(UsageError, match="gcd_one_weights"):
-        verify_nonvanishing(SearchBounds(2, 3, 4, 6, gcd_one_weights=True))
+    # A window carries no filters, so no verify_* call can be handed one.
+    with pytest.raises(TypeError):
+        SearchBounds(2, 3, 4, 6, require_fano=True)
 
 
 def test_ceiling_refuses_oversized_windows():
@@ -262,18 +296,15 @@ def test_bounds_validation():
 
 
 def test_enumerate_families_spec_window():
-    bounds = SearchBounds(
-        max_codim=1,
-        max_vars=3,
-        max_weight=3,
-        max_degree=6,
+    bounds = SearchBounds(max_codim=1, max_vars=3, max_weight=3, max_degree=6)
+    keep = FamilyFilter(
         require_quasi_smooth=True,
         require_well_formed=True,
         exclude_linear_cones=True,
         require_fano=True,
         require_calabi_yau=True,
     )
-    items = enumerate_instances(bounds, kind="families")
+    items = enumerate_instances(bounds, kind="families", keep=keep)
     encodings = [enc for enc, _ in items]
     assert encodings == ["2/1^2", "2/1^3", "3/1^3", "4/2,1^2", "6/3,2,1"]
     by_enc = dict(items)
@@ -298,11 +329,9 @@ def test_enumerate_empty_window():
 
 
 def test_enumerate_rejects_geometric_filters_for_pairs():
-    bounds = SearchBounds(
-        max_codim=1, max_vars=2, max_weight=2, max_degree=2, require_smooth=True
-    )
+    bounds = SearchBounds(max_codim=1, max_vars=2, max_weight=2, max_degree=2)
     with pytest.raises(UsageError):
-        enumerate_instances(bounds, kind="pairs")
+        enumerate_instances(bounds, kind="pairs", keep=FamilyFilter(require_smooth=True))
     with pytest.raises(UsageError):
         enumerate_instances(bounds, kind="junk")
 
@@ -314,6 +343,37 @@ def test_enumerate_sorted_and_duplicate_free():
     assert len(encodings) == len(set(encodings))
 
 
+def test_each_family_filter_keeps_its_annotation():
+    bounds = SearchBounds(max_codim=2, max_vars=4, max_weight=5, max_degree=8)
+    everything = enumerate_instances(bounds, kind="families")
+    cases = {
+        "require_fano": lambda ann: ann["kind"] == "fano",
+        "require_calabi_yau": lambda ann: ann["kind"] == "calabi_yau",
+        "require_smooth": lambda ann: ann["smooth"] is True,
+        "require_quasi_smooth": lambda ann: ann["quasi_smooth"] is True,
+        "require_well_formed": lambda ann: ann["well_formed"],
+        "exclude_linear_cones": lambda ann: not ann["linear_cone"],
+    }
+    for name, wanted in cases.items():
+        expected = [item for item in everything if wanted(item[1])]
+        assert 0 < len(expected) < len(everything), name
+        assert enumerate_instances(bounds, "families", FamilyFilter(**{name: True})) == expected
+    both = FamilyFilter(require_fano=True, require_calabi_yau=True)
+    expected = [item for item in everything if item[1]["kind"] in ("fano", "calabi_yau")]
+    assert enumerate_instances(bounds, "families", both) == expected
+    coprime = [item for item in everything if math.gcd(*Pair.parse(item[0]).weights) == 1]
+    assert 0 < len(coprime) < len(everything)
+    assert enumerate_instances(bounds, "families", FamilyFilter(gcd_one_weights=True)) == coprime
+
+
+def test_pairs_gcd_one_filter_matches_annotation():
+    bounds = SearchBounds(max_codim=2, max_vars=3, max_weight=6, max_degree=6)
+    everything = enumerate_instances(bounds, kind="pairs")
+    expected = [item for item in everything if item[1]["gcd_one"]]
+    assert 0 < len(expected) < len(everything)
+    assert enumerate_instances(bounds, "pairs", FamilyFilter(gcd_one_weights=True)) == expected
+
+
 def test_enumerate_pairs_count_matches_closed_form():
     w, max_vars, d, max_c = 4, 3, 6, 2
     items = enumerate_instances(
@@ -323,3 +383,16 @@ def test_enumerate_pairs_count_matches_closed_form():
     weight_tuples = sum(math.comb(w + k - 1, k) for k in range(1, max_vars + 1))
     degree_tuples = sum(math.comb(d + k - 1, k) for k in range(0, max_c + 1))
     assert len(items) == weight_tuples * degree_tuples
+
+
+def test_enumerate_families_count_matches_closed_form():
+    w, max_vars, d, max_c = 4, 4, 5, 2
+    items = enumerate_instances(
+        SearchBounds(max_codim=max_c, max_vars=max_vars, max_weight=w, max_degree=d)
+    )
+    expected = sum(
+        math.comb(w + n - 1, n)
+        * sum(math.comb(d + c - 1, c) for c in range(1, min(max_c, n - 1) + 1))
+        for n in range(2, max_vars + 1)
+    )
+    assert len(items) == expected

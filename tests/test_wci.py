@@ -12,7 +12,7 @@ from wcikit.cli import check_report
 from wcikit.errors import DomainError, UsageError
 from wcikit.hilbert import h0
 from wcikit.pairs import is_h_regular
-from wcikit.verify import SearchBounds, enumerate_instances
+from wcikit.verify import FamilyFilter, SearchBounds, enumerate_instances
 from wcikit.wci import (
     WciFamily,
     WeightClasses,
@@ -250,16 +250,11 @@ def test_augment_examples():
 
 
 def _geometric_universe():
-    bounds = SearchBounds(
-        max_codim=2,
-        max_vars=4,
-        max_weight=6,
-        max_degree=15,
-        require_quasi_smooth=True,
-        require_well_formed=True,
-        exclude_linear_cones=True,
+    bounds = SearchBounds(max_codim=2, max_vars=4, max_weight=6, max_degree=15)
+    keep = FamilyFilter(
+        require_quasi_smooth=True, require_well_formed=True, exclude_linear_cones=True
     )
-    return [WciFamily.parse(enc) for enc, _ in enumerate_instances(bounds, kind="families")]
+    return [WciFamily.parse(enc) for enc, _ in enumerate_instances(bounds, "families", keep)]
 
 
 def test_invariants_on_small_universe():
