@@ -26,7 +26,6 @@ import os
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
@@ -38,6 +37,7 @@ from .errors import BoundsExceededError, UsageError
 from .pairs import Pair, _encode_run_length, is_regular
 from .wci import (
     WciFamily,
+    WeightClasses,
     _base_locus,
     _geometry,
     _index,
@@ -355,7 +355,8 @@ def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
     cex: list[dict] = []
     wits: list[dict] = []
     for weights in _tuples_with_first(first, values, spec.min_len, bounds.max_vars):
-        if not space_well_formed(weights):
+        classes = WeightClasses.from_weights(weights)
+        if not space_well_formed(classes):
             continue
         sum_a = sum(weights)
         value_set = set(weights)
@@ -366,7 +367,7 @@ def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
                 ds = lists[i]
                 if not value_set.isdisjoint(ds):
                     continue
-                family = WciFamily.of(ds, weights)
+                family = WciFamily.of(ds, classes)
                 rows = _well_formed_rows(family)
                 if rows is None or not is_quasi_smooth(family):
                     continue
@@ -452,13 +453,14 @@ def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
                         }
                     )
         # (b), (c): quasi-smooth well-formed non-cone hypersurfaces
-        if not space_well_formed(weights):
+        classes = WeightClasses.from_weights(weights)
+        if not space_well_formed(classes):
             continue
         value_set = set(weights)
         for f in range(1, bounds.max_degree + 1):
             if f in value_set:
                 continue
-            family = WciFamily.of((f,), weights)
+            family = WciFamily.of((f,), classes)
             rows = _well_formed_rows(family)
             if rows is None or not is_quasi_smooth(family):
                 continue
@@ -511,11 +513,7 @@ _REFINE_TUPLE_CAP = 2_000_000
 
 
 def _estimate_regular(bounds: SearchBounds, universe_key: tuple, weights: tuple[int, ...]) -> int:
-    universe = _degree_universe(*universe_key)
-    return sum(
-        len(universe[sig])
-        for sig in _matching_sigs(universe_key, _regularity_requirements(weights))
-    )
+    return sum(len(group) for group in _matched_groups(universe_key, weights))
 
 
 def _estimate_delta_le_zero(
@@ -638,7 +636,10 @@ def _run_claim(claim: str, bounds: SearchBounds, q=None, workers: int | None = N
     _within_ceiling(lambda ceiling: _estimate(claim, bounds, q, ceiling))
     tasks = [(claim, bounds, q, first) for first in _domain(claim, bounds, q)[1]]
     if workers > 1 and len(tasks) > 1:
-        # Under fork the pool starts every worker up front; never more than tasks.
+        # Imported here because only a pooled run needs it.  Under fork the
+        # pool starts every worker up front; never more than tasks.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             parts = list(pool.map(_run_partition, tasks))
     else:
@@ -746,12 +747,13 @@ def enumerate_instances(
             if keep.gcd_one_weights and reduce(math.gcd, weights) != 1:
                 continue
             max_c = min(bounds.max_codim, len(weights) - 1) if families else bounds.max_codim
+            classes = WeightClasses.from_weights(weights)
             for c in range(min_codim, max_c + 1):
                 for ds in combinations_with_replacement(degree_values, c):
                     if not families:
                         out.append((_pair_encoding(ds, weights), _pair_annotations(ds, weights)))
                         continue
-                    family = WciFamily.of(ds, weights)
+                    family = WciFamily.of(ds, classes)
                     ann = _family_annotations(family)
                     if keep.keeps(ann):
                         out.append((family.encode(), ann))

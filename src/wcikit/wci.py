@@ -7,6 +7,11 @@ reduce to distinct-value subsets W of the weights: within one value class the
 coordinates are interchangeable, and for each W the maximal coordinate subset
 (all coordinates carrying those values) is the binding case.  That reduction
 is validated against an exhaustive all-index-subsets oracle in the test suite.
+
+What a stratum is (k, gcd W, its coordinate weights, the outside classes)
+depends on the weights alone, so `_strata` builds one table of rows per
+`WeightClasses`, kept in a bounded cache; every family predicate reads those
+rows and tests which degrees are representable over W once per stratum.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .arith import _repr_over, monomial_count
@@ -61,7 +66,7 @@ class WeightClasses:
                 return m
         return 0
 
-    @property
+    @cached_property
     def total(self) -> int:
         return sum(m for _, m in self.classes)
 
@@ -127,14 +132,9 @@ def space_well_formed(weights) -> bool:
     ws = weights if isinstance(weights, WeightClasses) else WeightClasses.from_weights(weights)
     if ws.total < 2:
         raise UsageError("well-formedness needs at least two weights")
-    # dropping one coordinate only matters per value class
-    for v, m in ws.classes:
-        rest = [u for u, _ in ws.classes if u != v]
-        if m > 1:
-            rest.append(v)
-        if not rest or reduce(math.gcd, rest) != 1:
-            return False
-    return True
+    # n of the coordinates carry every value, or every value but one of
+    # multiplicity 1: exactly the strata with k >= n
+    return all(g == 1 for _W, k, g, *_row in _strata(ws) if k >= ws.total - 1)
 
 
 def is_linear_cone(family: WciFamily) -> bool:
@@ -146,30 +146,49 @@ def is_linear_cone(family: WciFamily) -> bool:
 # -- stratum bookkeeping --------------------------------------------------------
 
 
-def _strata(weights: WeightClasses):
-    """(W, k) per nonempty subset W of distinct values, W an ascending tuple in
-    lex order, k the number of coordinates carrying the values in W."""
+# Small, because a table has a row per value subset (4,095 rows, 1.8 MB, at 12
+# distinct values), and enough, because the verify partitions walk every family
+# of one weight tuple before they move to the next.
+@lru_cache(maxsize=16)
+def _strata(weights: WeightClasses) -> tuple:
+    """One row (W, k, g, coords, outside, mults) per nonempty subset W of the
+    distinct values, W an ascending tuple in lex order: k coordinates carry
+    the values in W, g = gcd W, coords are their weights (descending), and
+    outside / mults the values and multiplicities of the other classes
+    (descending)."""
     classes = weights.classes[::-1]
-    stack = [((), 0, 0)]
+    top = len(classes) - 1
+    rows = []
+    root = ((), 0, 0, (), weights.values(), tuple(m for _, m in weights.classes))
+    stack = [(root, 0)]
     while stack:  # preorder depth-first walk, children pushed last-first
-        W, k, start = stack.pop()
-        if W:
-            yield W, k
-        for i in range(len(classes) - 1, start - 1, -1):
+        row, start = stack.pop()
+        if row[0]:
+            rows.append(row)
+        W, k, g, coords, outside, mults = row
+        for i in range(top, start - 1, -1):
+            # v exceeds every value in W, so the top - i classes above it are
+            # all outside: v is outside[top - i] and heads the new coords.
             v, m = classes[i]
-            stack.append((W + (v,), k + m, i + 1))
+            j = top - i
+            rest = outside[:j] + outside[j + 1:], mults[:j] + mults[j + 1:]
+            stack.append(((W + (v,), k + m, math.gcd(g, v), (v,) * m + coords, *rest), i + 1))
+    return tuple(rows)
 
 
-def _excess(family: WciFamily, W: tuple[int, ...], k: int) -> int | None:
+def _representable(degrees: tuple[int, ...], W: tuple[int, ...]) -> list[int]:
+    """The degrees representable over W, in order: those that cut its stratum."""
+    return [d for d in degrees if _repr_over(d, W)]
+
+
+def _excess(rep: list[int], k: int, coords: tuple[int, ...]) -> int | None:
     """Dimension excess (k - 1) - #representable degrees of the maximal stratum
-    of W, or None when a general member misses it: too many degrees cut it, or
-    one restricts to a single monomial."""
-    rep = [d for d in family.degrees if _repr_over(d, W)]
+    with k coordinates of weights coords, or None when a general member misses
+    it: too many degrees cut it, or one restricts to a single monomial."""
     excess = (k - 1) - len(rep)
     if excess < 0:
         return None
-    stratum_weights = [v for v, m in family.weights.classes if v in W for _ in range(m)]
-    if any(monomial_count(d, stratum_weights) == 1 for d in rep):
+    if any(monomial_count(d, coords) == 1 for d in rep):
         return None
     return excess
 
@@ -348,51 +367,35 @@ class QsReport:
         return {"verdict": self.verdict, "strata": [s.as_dict() for s in self.strata]}
 
 
-def _pure_choices(value_counts: list[tuple[int, int]], l: int):
-    """Ways to take l elements from value classes, as count vectors."""
-    if l == 0:
-        yield ()
-        return
-    if not value_counts:
-        return
-    v, m = value_counts[0]
-    for take in range(min(l, m), -1, -1):
-        for rest in _pure_choices(value_counts[1:], l - take):
-            yield ((v, take),) + rest if take else rest
+def _leftover(degrees: tuple[int, ...], taken) -> list[int]:
+    """The degrees, in order, less one occurrence of each taken degree."""
+    left = list(degrees)
+    for d in taken:
+        left.remove(d)
+    return left
 
 
-def _stratum_outcome(family: WciFamily, W: tuple[int, ...], k: int, detailed: bool):
-    """Classify one distinct-value stratum (k coordinates) as Q1 / Q2 / FAIL."""
-    degrees = family.degrees
-    c = len(degrees)
-    rho = min(c, k)
-    pure = [j for j, d in enumerate(degrees) if _repr_over(d, W)]
-    if len(pure) >= rho:
-        return "Q1", ({"degrees": [degrees[j] for j in pure[:rho]]} if detailed else {})
-
-    outside = [(v, m) for v, m in family.weights.classes if v not in W]
-    mults = tuple(m for _, m in outside)
+def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool):
+    """Classify one distinct-value stratum (k coordinates; outside classes of
+    values outside and multiplicities mults) as Q1 / Q2 / FAIL."""
+    rho = min(len(degrees), k)
+    rep = _representable(degrees, W)
+    if len(rep) >= rho:
+        return "Q1", ({"degrees": rep[:rho]} if detailed else {})
 
     def avail_mask(d: int) -> int:
         mask = 0
-        for b, (v, _m) in enumerate(outside):
+        for b, v in enumerate(outside):
             if d >= v and _repr_over(d - v, W):
                 mask |= 1 << b
         return mask
 
     mask_of = {d: avail_mask(d) for d in set(degrees)}
-    pure_counts = list(Counter(degrees[j] for j in pure).items())
-
-    for l in range(min(rho - 1, len(pure)), -1, -1):
+    for l in range(min(rho - 1, len(rep)), -1, -1):
         r = k - l
-        for choice in _pure_choices(pure_counts, l):
-            taken = Counter(dict(choice))
-            leftover: list[int] = []
-            for d in degrees:
-                if taken.get(d, 0) > 0 and _repr_over(d, W):
-                    taken[d] -= 1
-                else:
-                    leftover.append(d)
+        # each multiset of l pure degrees once, the most of the largest first
+        for pure in dict.fromkeys(combinations(rep, l)):
+            leftover = _leftover(degrees, pure)
             masks = tuple(sorted(mask_of[d] for d in leftover))
             if masks and masks[0] == 0:
                 continue
@@ -401,13 +404,11 @@ def _stratum_outcome(family: WciFamily, W: tuple[int, ...], k: int, detailed: bo
                     return "Q2", {}
                 witness = {
                     "l": l,
-                    "pure_degrees": sorted(
-                        (v for v, n in choice for _ in range(n)), reverse=True
-                    ),
+                    "pure_degrees": list(pure),
                     "availability": [
                         {
                             "degree": d,
-                            "classes": [v for b, (v, _m) in enumerate(outside) if mask_of[d] >> b & 1],
+                            "classes": [v for b, v in enumerate(outside) if mask_of[d] >> b & 1],
                         }
                         for d in sorted(set(leftover), reverse=True)
                     ],
@@ -415,15 +416,15 @@ def _stratum_outcome(family: WciFamily, W: tuple[int, ...], k: int, detailed: bo
                 return "Q2", witness
     if not detailed:
         return "FAIL", {}
-    return "FAIL", _fail_diagnosis(degrees, W, k, rho, pure, mask_of, outside, mults)
+    return "FAIL", _fail_diagnosis(degrees, k, rho, rep, mask_of, mults)
 
 
-def _fail_diagnosis(degrees, W, k, rho, pure, mask_of, outside, mults) -> dict:
+def _fail_diagnosis(degrees, k, rho, rep, mask_of, mults) -> dict:
     """Describe why neither condition holds, from the most favorable attempt."""
-    diag = {"rho": rho, "representable": len(pure)}
-    l = min(rho - 1, len(pure))
+    diag = {"rho": rho, "representable": len(rep)}
+    l = min(rho - 1, len(rep))
     r = k - l
-    leftover = [d for j, d in enumerate(degrees) if j not in set(pure[:l])]
+    leftover = _leftover(degrees, rep[:l])
     starved = [d for d in leftover if mask_of[d] == 0]
     if starved:
         diag["q2"] = {"reason": "no availability", "degree": max(starved), "r": r}
@@ -448,35 +449,29 @@ def _fail_diagnosis(degrees, W, k, rho, pure, mask_of, outside, mults) -> dict:
     return diag
 
 
+def _qs_walk(family: WciFamily, detailed: bool):
+    """(W, k, outcome, witness) per stratum, lex order.  The verdict-only form
+    (detailed false) skips the strata with a unit weight, where every degree
+    is representable and Q1 holds, and leaves the witnesses empty."""
+    if is_linear_cone(family):
+        raise DomainError("quasi-smoothness undefined for a linear cone")
+    if family.codim == 0:
+        return
+    for W, k, _g, _coords, outside, mults in _strata(family.weights):
+        if detailed or W[0] != 1:
+            yield (W, k) + _stratum_outcome(family.degrees, W, k, outside, mults, detailed)
+
+
 def quasi_smooth(family: WciFamily) -> QsReport:
     """Tangency criterion for the general member over every singular stratum
     class; verdict true iff no stratum fails.  Linear cones are rejected."""
-    if is_linear_cone(family):
-        raise DomainError("quasi-smoothness undefined for a linear cone")
-    if family.codim == 0:
-        return QsReport(True, ())
-    strata = []
-    verdict = True
-    for W, k in _strata(family.weights):
-        outcome, witness = _stratum_outcome(family, W, k, detailed=True)
-        strata.append(StratumCheck(W, k, outcome, witness))
-        if outcome == "FAIL":
-            verdict = False
-    return QsReport(verdict, tuple(strata))
+    strata = tuple(StratumCheck(*row) for row in _qs_walk(family, detailed=True))
+    return QsReport(all(s.outcome != "FAIL" for s in strata), strata)
 
 
 def is_quasi_smooth(family: WciFamily) -> bool:
-    """Verdict-only fast path of quasi_smooth."""
-    if is_linear_cone(family):
-        raise DomainError("quasi-smoothness undefined for a linear cone")
-    if family.codim == 0:
-        return True
-    for W, k in _strata(family.weights):
-        if W[0] == 1:
-            continue  # a unit weight represents every degree, so Q1 holds
-        if _stratum_outcome(family, W, k, detailed=False)[0] == "FAIL":
-            return False
-    return True
+    """Verdict-only fast path of quasi_smooth: stops at the first FAIL."""
+    return all(row[2] != "FAIL" for row in _qs_walk(family, detailed=False))
 
 
 # -- the singular-stratum walk ----------------------------------------------------
@@ -486,20 +481,21 @@ def _singular_strata(family: WciFamily):
     """Rows (W, gcd, excess, condition (i) holds) per value subset W with gcd > 1,
     lex order; excess as in _excess, condition (i) that at least k degrees are
     divisible by the gcd."""
-    for W, k in _strata(family.weights):
-        g = reduce(math.gcd, W)
+    degrees = family.degrees
+    for W, k, g, coords, _outside, _mults in _strata(family.weights):
         if g > 1:
-            cond_i = sum(1 for d in family.degrees if d % g == 0) >= k
-            yield W, g, _excess(family, W, k), cond_i
+            cond_i = sum(1 for d in degrees if d % g == 0) >= k
+            yield W, g, _excess(_representable(degrees, W), k, coords), cond_i
 
 
 def _well_formed_rows(family: WciFamily) -> list | None:
     """The rows of _singular_strata, or None at the first stratum a general
     member meets in codimension < 2.  The ambient space is not checked."""
     rows = []
+    dim = family.dim
     for row in _singular_strata(family):
         excess = row[2]
-        if excess is not None and family.dim - excess < 2:
+        if excess is not None and dim - excess < 2:
             return None
         rows.append(row)
     return rows
@@ -532,12 +528,11 @@ def stratum_meets(family: WciFamily, value_subset) -> bool:
     W = tuple(sorted(set(value_subset)))
     if not W:
         raise UsageError("value subset must be nonempty")
-    known = set(family.weights.values())
-    for v in W:
-        if v not in known:
-            raise UsageError(f"value {v} is not a weight of this family")
-    k = sum(m for v, m in family.weights.classes if v in W)
-    return _excess(family, W, k) is not None
+    for row_W, k, _g, coords, _outside, _mults in _strata(family.weights):
+        if row_W == W:
+            return _excess(_representable(family.degrees, W), k, coords) is not None
+    unknown = min(set(W) - set(family.weights.values()))
+    raise UsageError(f"value {unknown} is not a weight of this family")
 
 
 # -- geometric gatekeeping ------------------------------------------------------
@@ -632,12 +627,12 @@ def _index_value(family: WciFamily) -> int:
 
 def fundamental_index(family: WciFamily) -> IndexReport:
     """Cartier index of the hyperplane class on a general member."""
-    index = _require_geometric(family, "fundamental_index").index
+    _require_geometric(family, "fundamental_index")
+    rows = list(_singular_strata(family))
     contributors = tuple(
-        IndexStratum(W, g, excess is not None, cond_i)
-        for W, g, excess, cond_i in _singular_strata(family)
+        IndexStratum(W, g, excess is not None, cond_i) for W, g, excess, cond_i in rows
     )
-    return IndexReport(index, contributors)
+    return IndexReport(_index(rows), contributors)
 
 
 def canonical_degree(family: WciFamily) -> int:
@@ -698,19 +693,19 @@ def base_locus(family: WciFamily, ell: int) -> list[BaseLocusComponent]:
 
 def _base_locus(family: WciFamily, ell: int) -> list[BaseLocusComponent]:
     """`base_locus` for a family already known to be geometric and ell >= 1."""
-    hits = [
-        W
-        for W, k in _strata(family.weights)
-        if not _repr_over(ell, W) and _excess(family, W, k) is not None
-    ]
+    hits = []
+    for W, k, _g, coords, _outside, _mults in _strata(family.weights):
+        if not _repr_over(ell, W):
+            rep = _representable(family.degrees, W)
+            if _excess(rep, k, coords) is not None:
+                hits.append((W, rep))
     components = []
-    for W in hits:
+    for W, rep in hits:
         sw = set(W)
-        if any(sw < set(W2) for W2 in hits):
+        if any(sw < set(W2) for W2, _rep in hits):
             continue
-        degrees = [d for d in family.degrees if _repr_over(d, W)]
         classes = WeightClasses(tuple((v, m) for v, m in family.weights.classes if v in sw))
-        components.append(BaseLocusComponent(W, WciFamily.of(degrees, classes)))
+        components.append(BaseLocusComponent(W, WciFamily.of(rep, classes)))
     return components
 
 

@@ -169,6 +169,27 @@ def _stratum_excess(degrees, stratum: tuple[int, ...]) -> tuple[int, bool]:
     return repr_count, single
 
 
+def strata(ws: tuple[int, ...]) -> list[tuple]:
+    """(W, k, gcd, coords, outside, mults) per distinct value set W, ascending
+    and sorted, from every index subset: k is the size of the largest index
+    subset whose weights take exactly the values W, coords those weights and
+    outside / mults the values and counts of the other coordinates, all
+    descending."""
+    n1 = len(ws)
+    largest: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for k in range(1, n1 + 1):
+        for idx in combinations(range(n1), k):
+            largest[tuple(sorted({ws[i] for i in idx}))] = idx  # k only grows
+    rows = []
+    for W, idx in sorted(largest.items()):
+        coords = tuple(sorted((ws[i] for i in idx), reverse=True))
+        rest = [ws[i] for i in range(n1) if i not in idx]
+        outside = tuple(sorted(set(rest), reverse=True))
+        mults = tuple(rest.count(v) for v in outside)
+        rows.append((W, len(idx), gcd(*coords), coords, outside, mults))
+    return rows
+
+
 def stratum_meets(degrees, weights, idx: tuple[int, ...]) -> bool:
     """Does the coordinate stratum for idx intersect a general member?"""
     stratum = tuple(weights[i] for i in idx)

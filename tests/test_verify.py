@@ -1,11 +1,12 @@
 """Claim verification runs, enumeration, and the instance ceiling."""
 
+import concurrent.futures
 import math
 
 import pytest
 
 import oracles
-from wcikit import verify
+from wcikit import hilbert, verify
 from wcikit.errors import BoundsExceededError, UsageError
 from wcikit.pairs import Pair, delta
 from wcikit.verify import (
@@ -172,6 +173,47 @@ def test_conjecture_counterexamples_carry_the_frobenius_bound(monkeypatch):
         assert entry["delta"] == delta(Pair.parse(entry["pair"]))
 
 
+def test_hypersurface_part_b_covers_every_multiple_of_the_index(monkeypatch):
+    # With every section count planted at 0, part (b) reports each multiple
+    # h' <= max_degree of the index i with h' > max(delta, 0), and nothing else.
+    monkeypatch.setattr(hilbert, "series_coefficients", lambda ds, ws, upto: [0] * (upto + 1))
+    window = (1, 4, 6, 18)
+    expected = []
+    for ds, ws in oracles._canonical_families(window):
+        if oracles._geometric(ds, ws):
+            index = oracles.fundamental_index(ds, ws)
+            floor = max(sum(ds) - sum(ws), 0)
+            enc = oracles._encode_pair(ds, ws)
+            expected += [(enc, h) for h in range(index, window[3] + 1, index) if h > floor]
+    assert len(expected) > 100
+    for workers in (1, 2):
+        report = verify_hypersurface(SearchBounds(*window), workers=workers)
+        got = [(e["family"], e["h_prime"]) for e in report.counterexamples if e["part"] == "b"]
+        assert sorted(got) == sorted(expected), workers
+
+
+def test_nonvanishing_counterexamples_carry_the_index(monkeypatch):
+    # With h0 planted at 0, every checked family, and only those, fails the
+    # nonvanishing check at its own fundamental index.
+    monkeypatch.setattr(hilbert, "h0", lambda family, k: 0)
+    window = (2, 4, 6, 12)
+    expected = [
+        (oracles._encode_pair(ds, ws), oracles.fundamental_index(ds, ws))
+        for ds, ws in oracles._canonical_families(window)
+        if sum(ds) <= sum(ws) and oracles._geometric(ds, ws)
+    ]
+    assert len(expected) > 10
+    for workers in (1, 2):
+        report = verify_nonvanishing(SearchBounds(*window), workers=workers)
+        got = [
+            (e["family"], e["index"])
+            for e in report.counterexamples
+            if e["check"] == "nonvanishing"
+        ]
+        assert sorted(got) == sorted(expected), workers
+        assert report.instances_checked == len(expected)
+
+
 def test_reports_deterministic_across_worker_counts():
     one = verify_prop_regular(SMALL, workers=1)
     two = verify_prop_regular(SMALL, workers=2)
@@ -203,7 +245,7 @@ def test_pool_never_outnumbers_partitions(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     report = verify_prop_regular(SMALL, workers=10**6)
     assert sizes == [7]  # one partition per weight 2..8
     assert report.instances_checked == 621

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from wcikit import wci
 from wcikit.cli import check_report
 from wcikit.errors import DomainError, UsageError
 from wcikit.hilbert import h0
@@ -116,6 +117,22 @@ def test_quasi_smooth_rejects_cones():
 
 def test_quasi_smooth_ambient_trivial():
     assert is_quasi_smooth(WciFamily.of((), (1, 2, 3)))
+
+
+def test_verdict_walk_skips_unit_strata(monkeypatch):
+    asked = []
+    outcome = wci._stratum_outcome
+
+    def spy(degrees, W, *rest):
+        asked.append(W)
+        return outcome(degrees, W, *rest)
+
+    monkeypatch.setattr(wci, "_stratum_outcome", spy)
+    assert is_quasi_smooth(X231)
+    assert asked == [W for W, *_row in _strata(X231.weights) if 1 not in W]
+    asked.clear()
+    assert quasi_smooth(X231).verdict
+    assert asked == [W for W, *_row in _strata(X231.weights)]
 
 
 # -- well-formedness of the family ---------------------------------------------------
@@ -327,6 +344,7 @@ def test_reduction_matches_oracle_randomized():
         if not is_linear_cone(fam):
             qs = is_quasi_smooth(fam)
             assert qs == oracles.quasi_smooth(ds, ws)
+            assert quasi_smooth(fam).verdict == qs
         wf = False
         if space_well_formed(list(ws)):
             wf = wci_well_formed(fam)
@@ -350,7 +368,9 @@ def test_repr_over_matches_oracle_on_every_stratum():
     gcd_strata = 0
     for units, max_weight in [(0, 12)] * 40 + [(1, 8)] * 20:
         ds, ws = _random_family(rng, units, max_weight)
-        for W, _k in _strata(WciFamily.of(ds, ws).weights):
+        table = _strata(WciFamily.of(ds, ws).weights)
+        assert list(table) == oracles.strata(ws), ws
+        for W, *_row in table:
             gcd_strata += math.gcd(*W) > 1
             for d in range(61):
                 assert _repr_over(d, W) == oracles.representable(d, W), (d, W)

@@ -1,0 +1,112 @@
+"""Check that the test suite kills a fixed set of planted mutants.
+
+Each mutant replaces one exact piece of source text.  For each one the tree is
+copied to a temporary directory, the mutant is applied there, and only the
+tests named for it are run; a mutant whose tests all pass survives.  Run from
+the repository root (it is not part of the tier-1 suite):
+
+    python3 tools/mutants.py
+
+The named tests are first run once on an unmutated copy, which must pass.
+Exit code 0 when every mutant is killed, 1 when some survive, 2 when the
+unmutated run fails, a mutant's source text is not found exactly once, or
+pytest cannot run a mutant's tests.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file, exact old text, new text, tests expected to fail)
+MUTANTS = [
+    (
+        "hypersurface start off by one",
+        "src/wcikit/verify.py",
+        "start = (max(delta, 0) // index + 1) * index",
+        "start = (max(delta, 0) // index + 2) * index",
+        ["tests/test_verify.py::test_hypersurface_part_b_covers_every_multiple_of_the_index"],
+    ),
+    (
+        "nonvanishing without the space_well_formed prune",
+        "src/wcikit/verify.py",
+        "        if not space_well_formed(classes):\n"
+        "            continue\n"
+        "        sum_a = sum(weights)\n",
+        "        sum_a = sum(weights)\n",
+        [
+            "tests/test_verify.py::test_nonvanishing_counterexamples_carry_the_index",
+            "tests/test_verify.py::test_family_claims_match_naive_walk",
+        ],
+    ),
+    (
+        "stratum table drops a row",
+        "src/wcikit/wci.py",
+        "    return tuple(rows)\n",
+        "    return tuple(rows[1:])\n",
+        ["tests/test_wci.py::test_repr_over_matches_oracle_on_every_stratum"],
+    ),
+    (
+        "stratum table k off by one",
+        "src/wcikit/wci.py",
+        "k + m, math.gcd(g, v)",
+        "k + m + 1, math.gcd(g, v)",
+        ["tests/test_wci.py::test_repr_over_matches_oracle_on_every_stratum"],
+    ),
+    (
+        "unit-stratum skip tested on W[-1]",
+        "src/wcikit/wci.py",
+        "if detailed or W[0] != 1:",
+        "if detailed or W[-1] != 1:",
+        ["tests/test_wci.py::test_verdict_walk_skips_unit_strata"],
+    ),
+]
+
+_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
+
+
+def run_mutant(old: str, new: str, path: str, tests: list[str]) -> str:
+    """'killed', 'survived', 'not found' or 'error' for one mutant, run in a
+    fresh copy of the tree; an empty old text runs the tree unmutated."""
+    with tempfile.TemporaryDirectory(prefix="wcikit-mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=_IGNORE)
+        if old:
+            target = tree / path
+            text = target.read_text()
+            if text.count(old) != 1:
+                return "not found"
+            target.write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=tree,
+            env=env,
+            capture_output=True,
+        )
+        return {0: "survived", 1: "killed"}.get(proc.returncode, "error")
+
+
+def main() -> int:
+    named = sorted({test for *_row, tests in MUTANTS for test in tests})
+    if run_mutant("", "", "", named) != "survived":
+        print("the named tests fail on the unmutated tree")
+        return 2
+    outcomes = []
+    for name, path, old, new, tests in MUTANTS:
+        outcome = run_mutant(old, new, path, tests)
+        outcomes.append(outcome)
+        print(f"{outcome:9}  {name}  ({path})")
+    survivors = outcomes.count("survived")
+    print(f"{len(outcomes)} mutants: {outcomes.count('killed')} killed, {survivors} survived")
+    if "not found" in outcomes or "error" in outcomes:
+        return 2
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
