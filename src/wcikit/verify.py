@@ -16,6 +16,13 @@ the claim's amplitude threshold.  The three regular-pair claims share one
 partition worker, `_part_regular`, and differ only in that bound and in what
 an equality case records.  Only the nonvanishing claim bisects: its degree
 multisets are sorted by sum per codimension, so delta <= 0 is a prefix.
+
+The two family claims build one degree table (`wci._degree_table`) per
+weight tuple.  The hypersurface claim takes its well-formed, quasi-smooth
+degrees and their indices from one pass over it, and its section counts from
+one series per weight tuple; the nonvanishing claim runs the stratum
+predicates on each degree multiset by bit tests.  Either builds a WciFamily
+only for an instance that passes them.
 """
 
 from __future__ import annotations
@@ -39,12 +46,15 @@ from .wci import (
     WciFamily,
     WeightClasses,
     _base_locus,
+    _degree_table,
     _geometry,
+    _hypersurface_indices,
     _index,
+    _qs_verdict,
+    _singular_strata,
     _smooth,
-    _well_formed_rows,
+    _well_formed,
     canonical_degree,
-    is_quasi_smooth,
     space_well_formed,
 )
 
@@ -358,6 +368,7 @@ def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
         classes = WeightClasses.from_weights(weights)
         if not space_well_formed(classes):
             continue
+        table = _degree_table(classes, bounds.max_degree)
         sum_a = sum(weights)
         value_set = set(weights)
         max_c = min(bounds.max_codim, len(weights) - 1)
@@ -367,11 +378,11 @@ def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
                 ds = lists[i]
                 if not value_set.isdisjoint(ds):
                     continue
-                family = WciFamily.of(ds, classes)
-                rows = _well_formed_rows(family)
-                if rows is None or not is_quasi_smooth(family):
+                if not _well_formed(ds, classes, table) or not _qs_verdict(ds, classes, table):
                     continue
                 checked += 1
+                rows = list(_singular_strata(ds, classes, table))
+                family = WciFamily.of(ds, classes)
                 enc = family.encode()
                 index = _index(rows)
                 if hilbert.h0(family, index) < 1:
@@ -456,33 +467,18 @@ def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
         classes = WeightClasses.from_weights(weights)
         if not space_well_formed(classes):
             continue
-        value_set = set(weights)
-        for f in range(1, bounds.max_degree + 1):
-            if f in value_set:
-                continue
-            family = WciFamily.of((f,), classes)
-            rows = _well_formed_rows(family)
-            if rows is None or not is_quasi_smooth(family):
-                continue
+        sum_a = sum(weights)
+        # h0(O(h)) on X_f is P[h] - P[h - f], P the series of 1/prod(1 - t^a)
+        series = hilbert.series_coefficients((), weights, bounds.max_degree)
+        for f, index in _hypersurface_indices(classes, bounds.max_degree).items():
             checked += 1
+            family = WciFamily.of((f,), classes)
             enc = family.encode()
-            delta = canonical_degree(family)
-            index = _index(rows)
+            delta = f - sum_a
             start = (max(delta, 0) // index + 1) * index  # least multiple > max(delta, 0)
-            if start <= bounds.max_degree:
-                coeffs = hilbert.series_coefficients(
-                    family.degrees, family.weights.expand(), bounds.max_degree
-                )
-                for h_prime in range(start, bounds.max_degree + 1, index):
-                    if coeffs[h_prime] < 1:
-                        cex.append(
-                            {
-                                "part": "b",
-                                "family": enc,
-                                "h_prime": h_prime,
-                                "h0": 0,
-                            }
-                        )
+            for h_prime in range(start, bounds.max_degree + 1, index):
+                if series[h_prime] - (series[h_prime - f] if h_prime >= f else 0) < 1:
+                    cex.append({"part": "b", "family": enc, "h_prime": h_prime, "h0": 0})
             if delta % index == 0:
                 n = len(weights) - 1
                 for m in range(n, n + 3):

@@ -12,6 +12,16 @@ What a stratum is (k, gcd W, its coordinate weights, the outside classes)
 depends on the weights alone, so `_strata` builds one table of rows per
 `WeightClasses`, kept in a bounded cache; every family predicate reads those
 rows and tests which degrees are representable over W once per stratum.
+
+A caller that tests many degree multisets on one weight tuple (the verify
+partitions) builds a degree table, `_degree_table(weights, D)`: the rows
+without a unit weight, each with two Python-int bitmasks over the degrees
+0..D, R_W (representable over W) and B_W (exactly one monomial over the
+stratum's coordinates).  The predicates take it as an optional argument and
+test bits where they would otherwise ask arith; the rules are written once.
+`_hypersurface_indices` reads well-formedness, quasi-smoothness and the index
+off the table for every degree f <= D at once.  One-shot calls
+build no degree table (a 12-value weight tuple has 4,095 rows).
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .arith import _repr_over, monomial_count
+from .arith import _repr_mask, _repr_over, monomial_count
 from .errors import DomainError, UsageError
 from .pairs import Pair, _encode_run_length, parse_sides
 
@@ -139,8 +149,11 @@ def space_well_formed(weights) -> bool:
 
 def is_linear_cone(family: WciFamily) -> bool:
     """True iff some degree equals some weight."""
-    values = set(family.weights.values())
-    return any(d in values for d in family.degrees)
+    return _is_cone(family.degrees, family.weights)
+
+
+def _is_cone(degrees, weights: WeightClasses) -> bool:
+    return not set(weights.values()).isdisjoint(degrees)
 
 
 # -- stratum bookkeeping --------------------------------------------------------
@@ -176,21 +189,71 @@ def _strata(weights: WeightClasses) -> tuple:
     return tuple(rows)
 
 
-def _representable(degrees: tuple[int, ...], W: tuple[int, ...]) -> list[int]:
-    """The degrees representable over W, in order: those that cut its stratum."""
+def _closure(mask: int, v: int, full: int) -> int:
+    """The degrees t + e*v (e >= 0) for t in mask, within full: by doubling."""
+    step = v
+    while step < full.bit_length():
+        mask = (mask | mask << step) & full
+        step <<= 1
+    return mask
+
+
+def _degree_table(weights: WeightClasses, upto: int) -> tuple:
+    """The rows of `_strata(weights)` without a unit weight, in lex order, each
+    extended by two bitmasks over the degrees 0..upto: R, the degrees
+    representable over W, and B, the degrees with exactly one monomial over
+    the stratum's coordinates.  Over a unit weight every degree is
+    representable, so the quasi-smoothness verdict skips those strata and none
+    has gcd > 1.  A verify partition builds one per weight tuple and reads it
+    for every family; one-shot requests never do.
+
+    R comes from arith's Apery table.  B extends the parent row's (W less its
+    largest value v, carried by m coordinates; no unit weight either): a
+    degree d has one monomial iff exactly one e >= 0 puts d - e*v in the
+    parent's R, that one in the parent's B, with e = 0 when m > 1 (two
+    coordinates of weight v give two monomials of every positive power)."""
+    full = (1 << upto + 1) - 1
+    masks = {(): (1, 1)}  # the empty stratum: one monomial, of degree 0
+    rows = []
+    for row in _strata(weights):
+        W, k, g, coords, outside, mults = row
+        if W[0] == 1:
+            continue
+        v = W[-1]
+        R0, B0 = masks[W[:-1]]
+        R = _repr_mask(W, upto)
+        shifted = (R << v) & full  # the d with d - e*v in R0 for some e >= 1
+        if coords.count(v) > 1:
+            B = B0 & ~shifted
+        else:
+            B = _closure(B0, v, full) & ~_closure(R0 & shifted, v, full)
+        masks[W] = R, B
+        rows.append(row + (R, B))
+    return tuple(rows)
+
+
+def _rep(degrees: tuple[int, ...], W: tuple[int, ...], masks) -> list[int]:
+    """The degrees representable over W, in order: those that cut its stratum.
+    masks is a degree-table row's (R, B), or empty to ask arith."""
+    if masks:
+        R = masks[0]
+        return [d for d in degrees if R >> d & 1]
     return [d for d in degrees if _repr_over(d, W)]
 
 
-def _excess(rep: list[int], k: int, coords: tuple[int, ...]) -> int | None:
+def _excess(rep: list[int], k: int, coords: tuple[int, ...], masks) -> int | None:
     """Dimension excess (k - 1) - #representable degrees of the maximal stratum
     with k coordinates of weights coords, or None when a general member misses
-    it: too many degrees cut it, or one restricts to a single monomial."""
+    it: too many degrees cut it, or one restricts to a single monomial.  masks
+    as in `_rep`."""
     excess = (k - 1) - len(rep)
     if excess < 0:
         return None
-    if any(monomial_count(d, coords) == 1 for d in rep):
-        return None
-    return excess
+    if masks:
+        single = any(masks[1] >> d & 1 for d in rep)
+    else:
+        single = any(monomial_count(d, coords) == 1 for d in rep)
+    return None if single else excess
 
 
 # -- Q2 selection search --------------------------------------------------------
@@ -375,18 +438,20 @@ def _leftover(degrees: tuple[int, ...], taken) -> list[int]:
     return left
 
 
-def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool):
+def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool, masks):
     """Classify one distinct-value stratum (k coordinates; outside classes of
-    values outside and multiplicities mults) as Q1 / Q2 / FAIL."""
+    values outside and multiplicities mults) as Q1 / Q2 / FAIL; masks as in
+    `_rep`."""
     rho = min(len(degrees), k)
-    rep = _representable(degrees, W)
+    rep = _rep(degrees, W, masks)
     if len(rep) >= rho:
         return "Q1", ({"degrees": rep[:rho]} if detailed else {})
 
     def avail_mask(d: int) -> int:
+        """The outside classes v with d - v >= 0 representable over W."""
         mask = 0
         for b, v in enumerate(outside):
-            if d >= v and _repr_over(d - v, W):
+            if d >= v and (masks[0] >> d - v & 1 if masks else _repr_over(d - v, W)):
                 mask |= 1 << b
         return mask
 
@@ -396,10 +461,10 @@ def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool):
         # each multiset of l pure degrees once, the most of the largest first
         for pure in dict.fromkeys(combinations(rep, l)):
             leftover = _leftover(degrees, pure)
-            masks = tuple(sorted(mask_of[d] for d in leftover))
-            if masks and masks[0] == 0:
+            avail = tuple(sorted(mask_of[d] for d in leftover))
+            if avail and avail[0] == 0:
                 continue
-            if _selection_exists(r, masks, mults):
+            if _selection_exists(r, avail, mults):
                 if not detailed:
                     return "Q2", {}
                 witness = {
@@ -449,56 +514,69 @@ def _fail_diagnosis(degrees, k, rho, rep, mask_of, mults) -> dict:
     return diag
 
 
-def _qs_walk(family: WciFamily, detailed: bool):
-    """(W, k, outcome, witness) per stratum, lex order.  The verdict-only form
-    (detailed false) skips the strata with a unit weight, where every degree
-    is representable and Q1 holds, and leaves the witnesses empty."""
-    if is_linear_cone(family):
+def _qs_walk(degrees, weights: WeightClasses, detailed: bool, table=None):
+    """(W, k, outcome, witness) per stratum in lex order, lazily, reading the
+    degree table when one is given (for the verdict only).  The verdict-only
+    form (detailed false) skips the strata with a unit weight, where every
+    degree is representable and Q1 holds, and leaves the witnesses empty.  A
+    linear cone raises at once."""
+    if _is_cone(degrees, weights):
         raise DomainError("quasi-smoothness undefined for a linear cone")
-    if family.codim == 0:
-        return
-    for W, k, _g, _coords, outside, mults in _strata(family.weights):
-        if detailed or W[0] != 1:
-            yield (W, k) + _stratum_outcome(family.degrees, W, k, outside, mults, detailed)
+    rows = (_strata(weights) if table is None else table) if degrees else ()
+    return (
+        (W, k) + _stratum_outcome(degrees, W, k, outside, mults, detailed, masks)
+        for W, k, _g, _coords, outside, mults, *masks in rows
+        if detailed or W[0] != 1
+    )
 
 
 def quasi_smooth(family: WciFamily) -> QsReport:
     """Tangency criterion for the general member over every singular stratum
     class; verdict true iff no stratum fails.  Linear cones are rejected."""
-    strata = tuple(StratumCheck(*row) for row in _qs_walk(family, detailed=True))
+    walk = _qs_walk(family.degrees, family.weights, detailed=True)
+    strata = tuple(StratumCheck(*row) for row in walk)
     return QsReport(all(s.outcome != "FAIL" for s in strata), strata)
+
+
+def _qs_verdict(degrees, weights: WeightClasses, table=None) -> bool:
+    """Verdict-only quasi-smoothness: stops at the first FAIL."""
+    return all(row[2] != "FAIL" for row in _qs_walk(degrees, weights, False, table))
 
 
 def is_quasi_smooth(family: WciFamily) -> bool:
     """Verdict-only fast path of quasi_smooth: stops at the first FAIL."""
-    return all(row[2] != "FAIL" for row in _qs_walk(family, detailed=False))
+    return _qs_verdict(family.degrees, family.weights)
 
 
 # -- the singular-stratum walk ----------------------------------------------------
 
 
-def _singular_strata(family: WciFamily):
+def _singular_strata(degrees, weights: WeightClasses, table=None):
     """Rows (W, gcd, excess, condition (i) holds) per value subset W with gcd > 1,
-    lex order; excess as in _excess, condition (i) that at least k degrees are
-    divisible by the gcd."""
-    degrees = family.degrees
-    for W, k, g, coords, _outside, _mults in _strata(family.weights):
+    lex order, reading the degree table when one is given; excess as in
+    _excess, condition (i) that at least k degrees are divisible by the gcd."""
+    for W, k, g, coords, _outside, _mults, *masks in _strata(weights) if table is None else table:
         if g > 1:
             cond_i = sum(1 for d in degrees if d % g == 0) >= k
-            yield W, g, _excess(_representable(degrees, W), k, coords), cond_i
+            yield W, g, _excess(_rep(degrees, W, masks), k, coords, masks), cond_i
 
 
-def _well_formed_rows(family: WciFamily) -> list | None:
-    """The rows of _singular_strata, or None at the first stratum a general
-    member meets in codimension < 2.  The ambient space is not checked."""
-    rows = []
-    dim = family.dim
-    for row in _singular_strata(family):
-        excess = row[2]
-        if excess is not None and dim - excess < 2:
-            return None
-        rows.append(row)
-    return rows
+def _meets_in_codim_below_2(excess: int | None, dim: int) -> bool:
+    """Does a general member of dimension dim meet a stratum of this excess in
+    codimension < 2?  Well-formedness asks that it meets none with gcd > 1."""
+    return excess is not None and dim - excess < 2
+
+
+def _well_formed(degrees, weights: WeightClasses, table=None) -> bool:
+    """Well-formedness of the family, reading the degree table when one is
+    given; the ambient space is not checked."""
+    dim = weights.total - 1 - len(degrees)
+    for W, k, g, coords, _outside, _mults, *masks in _strata(weights) if table is None else table:
+        if g > 1 and k > dim - 1:  # the excess is at most k - 1
+            excess = _excess(_rep(degrees, W, masks), k, coords, masks)
+            if _meets_in_codim_below_2(excess, dim):
+                return False
+    return True
 
 
 def _index(rows) -> int:
@@ -510,12 +588,55 @@ def _smooth(rows) -> bool:
     return all(excess is None for _W, _g, excess, _cond_i in rows)
 
 
+def _hypersurface_indices(weights: WeightClasses, upto: int) -> dict[int, int]:
+    """{f: index} for every degree 1 <= f <= upto, ascending, at which X_f in
+    P(weights) is not a linear cone, is well formed and is quasi-smooth.  The
+    ambient space is not checked.
+
+    The rules of `_well_formed`, `_qs_verdict` and `_index` at codim 1,
+    read off the degree table for every f at once (Iano-Fletcher 2000, §6 and
+    Thm 8.1).  On a stratum with k coordinates, f outside R has excess k - 1;
+    f in R has excess k - 2, or misses the stratum when k < 2 or f is in B.
+    A stratum without a unit weight passes Q1 when f is in R, and Q2 when at
+    least k outside coordinates v (with multiplicity) have f - v in R."""
+    full = (1 << upto + 1) - 1
+    dim = weights.total - 2
+    fails = 1  # degree 0
+    for v in weights.values():
+        fails |= 1 << v  # linear cones
+    contributors: dict[int, int] = {}  # gcd -> the f whose index it divides
+    for _W, k, g, _coords, outside, mults, R, B in _degree_table(weights, upto):
+        ge = [full] + [0] * k  # ge[j]: the f with j or more available coordinates
+        for u, m in zip(outside, mults):
+            hit = R << u
+            for j in range(k, 0, -1):
+                ge[j] |= hit & ge[max(j - m, 0)]
+        fails |= full & ~(R | ge[k])  # neither Q1 nor Q2
+        if g == 1:
+            continue
+        if k > dim - 1:  # excess k - 1 leaves codimension < 2
+            fails |= full & ~R
+        if k >= 2 and k > dim:  # so does excess k - 2
+            fails |= R & ~B
+        # Met strata fail condition (i) (k degrees divisible by g) unless k = 1
+        # and g | f, i.e. f in R; with k = 1 the met f are those outside R.
+        contributors[g] = contributors.get(g, 0) | (full & ~(R if k == 1 else B))
+    passing = full & ~fails
+    out = {}
+    while passing:
+        low = passing & -passing
+        f = low.bit_length() - 1
+        out[f] = math.lcm(*(g for g, mask in contributors.items() if mask >> f & 1))
+        passing ^= low
+    return out
+
+
 def wci_well_formed(family: WciFamily) -> bool:
     """True iff the general member misses every singular stratum in codimension
     at least 2; empty intersections pass vacuously."""
     if not space_well_formed(family.weights):
         raise DomainError("ambient space is not well formed")
-    return _well_formed_rows(family) is not None
+    return _well_formed(family.degrees, family.weights)
 
 
 def stratum_meets(family: WciFamily, value_subset) -> bool:
@@ -530,7 +651,7 @@ def stratum_meets(family: WciFamily, value_subset) -> bool:
         raise UsageError("value subset must be nonempty")
     for row_W, k, _g, coords, _outside, _mults in _strata(family.weights):
         if row_W == W:
-            return _excess(_representable(family.degrees, W), k, coords) is not None
+            return _excess(_rep(family.degrees, W, ()), k, coords, ()) is not None
     unknown = min(set(W) - set(family.weights.values()))
     raise UsageError(f"value {unknown} is not a weight of this family")
 
@@ -561,9 +682,10 @@ def _annotate(family: WciFamily, qs: bool | None) -> Geometry:
     """The record of a family from its quasi-smoothness verdict (None on a cone)."""
     cone = is_linear_cone(family)
     space_wf = family.nvars >= 2 and space_well_formed(family.weights)
-    rows = _well_formed_rows(family) if space_wf else None
-    if cone or rows is None or not qs:
-        return Geometry(cone, space_wf, rows is not None, qs, None, None, None)
+    rows = list(_singular_strata(family.degrees, family.weights)) if space_wf else []
+    wf = space_wf and not any(_meets_in_codim_below_2(row[2], family.dim) for row in rows)
+    if cone or not wf or not qs:
+        return Geometry(cone, space_wf, wf, qs, None, None, None)
     kind = None
     if family.codim:
         delta = canonical_degree(family)
@@ -622,13 +744,13 @@ class IndexReport:
 
 def _index_value(family: WciFamily) -> int:
     """The index over all singular strata; no gate."""
-    return _index(_singular_strata(family))
+    return _index(_singular_strata(family.degrees, family.weights))
 
 
 def fundamental_index(family: WciFamily) -> IndexReport:
     """Cartier index of the hyperplane class on a general member."""
     _require_geometric(family, "fundamental_index")
-    rows = list(_singular_strata(family))
+    rows = list(_singular_strata(family.degrees, family.weights))
     contributors = tuple(
         IndexStratum(W, g, excess is not None, cond_i) for W, g, excess, cond_i in rows
     )
@@ -696,8 +818,8 @@ def _base_locus(family: WciFamily, ell: int) -> list[BaseLocusComponent]:
     hits = []
     for W, k, _g, coords, _outside, _mults in _strata(family.weights):
         if not _repr_over(ell, W):
-            rep = _representable(family.degrees, W)
-            if _excess(rep, k, coords) is not None:
+            rep = _rep(family.degrees, W, ())
+            if _excess(rep, k, coords, ()) is not None:
                 hits.append((W, rep))
     components = []
     for W, rep in hits:

@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -402,3 +402,88 @@ def test_selection_search_matches_brute_force(r, mults, data):
     ]
     expected = oracles._q2_subset(avail, r, tuple(range(offset)))
     assert _selection_exists(r, masks, tuple(mults)) == expected
+
+
+# -- degree tables vs the per-family path and the oracles ------------------------------
+
+
+def test_degree_table_masks_match_oracle():
+    rng = random.Random(7)
+    upto = 40
+    tuples = [(10, 8, 6, 4), (9, 6, 6, 3, 3), (7, 5, 3, 2, 2, 2), (12, 8, 8, 8, 6, 1)]
+    tuples += [_random_family(rng, units, 10)[1] for units in (0, 0, 1) * 10]
+    single_rows = 0
+    for ws in tuples:
+        weights = WeightClasses.from_weights(ws)
+        table = wci._degree_table(weights, upto)
+        assert [row[:6] for row in table] == [row for row in _strata(weights) if row[0][0] != 1]
+        for W, _k, _g, coords, _outside, _mults, R, B in table:
+            assert R >> upto + 1 == 0 and B >> upto + 1 == 0
+            for d in range(upto + 1):
+                assert R >> d & 1 == oracles.representable(d, W), (ws, W, d)
+                assert B >> d & 1 == (oracles.monomial_count(d, coords) == 1), (ws, W, d)
+            single_rows += B != 1
+    assert single_rows > 100
+
+
+def _small_weight_tuples(max_vars, max_weight):
+    for n in range(2, max_vars + 1):
+        for ws in combinations_with_replacement(range(max_weight, 0, -1), n):
+            yield WeightClasses.from_weights(ws)
+
+
+def test_hypersurface_masks_match_per_family_predicates():
+    upto = 40
+    families = passing = 0
+    for weights in _small_weight_tuples(5, 10):
+        expected = {}
+        for f in range(1, upto + 1):
+            if weights.multiplicity(f):
+                continue
+            families += 1
+            degrees = (f,)
+            if wci._well_formed(degrees, weights) and is_quasi_smooth(WciFamily.of(degrees, weights)):
+                expected[f] = wci._index(wci._singular_strata(degrees, weights))
+        got = wci._hypersurface_indices(weights, upto)
+        assert list(got.items()) == list(expected.items()), weights
+        passing += len(got)
+    assert families > 100_000 and passing > 5_000
+
+
+def test_codim_two_table_reads_match_per_family_predicates():
+    upto = 16
+    checked = 0
+    verdicts = set()
+    for weights in _small_weight_tuples(5, 6):
+        if weights.total < 3:
+            continue
+        table = wci._degree_table(weights, upto)
+        for degrees in combinations_with_replacement(range(upto, 0, -1), 2):
+            if weights.multiplicity(degrees[0]) or weights.multiplicity(degrees[1]):
+                continue
+            wf = wci._well_formed(degrees, weights, table)
+            assert wf == wci._well_formed(degrees, weights), (degrees, weights)
+            qs = wci._qs_verdict(degrees, weights, table)
+            assert qs == wci._qs_verdict(degrees, weights), (degrees, weights)
+            rows = list(wci._singular_strata(degrees, weights, table))
+            assert rows == list(wci._singular_strata(degrees, weights)), (degrees, weights)
+            verdicts.add((wf, qs, wci._smooth(rows), wci._index(rows) > 1))
+            checked += 1
+    assert checked > 40_000
+    assert {(wf, qs) for wf, qs, *_rest in verdicts} == {
+        (True, True), (True, False), (False, True), (False, False)
+    }
+    assert {(True, True, True, False), (True, True, False, True)} <= verdicts
+
+
+def test_one_shot_requests_build_no_degree_table(monkeypatch, capsys):
+    from wcikit import cli
+
+    def refuse(*args):
+        raise AssertionError("a one-shot request built a degree table")
+
+    monkeypatch.setattr(wci, "_degree_table", refuse)
+    assert cli.run(["check", "8,8,8/2^4,3^5,5^3", "--json"]) == 0
+    assert cli.run(["check", "35/5,7,2^5,3^5"]) == 0
+    assert cli.run(["base-locus", "231,231,26/11^2,7^2,3^2,1^447", "1", "--json"]) == 0
+    capsys.readouterr()

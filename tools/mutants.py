@@ -36,8 +36,8 @@ MUTANTS = [
         "src/wcikit/verify.py",
         "        if not space_well_formed(classes):\n"
         "            continue\n"
-        "        sum_a = sum(weights)\n",
-        "        sum_a = sum(weights)\n",
+        "        table = _degree_table(classes, bounds.max_degree)\n",
+        "        table = _degree_table(classes, bounds.max_degree)\n",
         [
             "tests/test_verify.py::test_nonvanishing_counterexamples_carry_the_index",
             "tests/test_verify.py::test_family_claims_match_naive_walk",
@@ -46,8 +46,8 @@ MUTANTS = [
     (
         "stratum table drops a row",
         "src/wcikit/wci.py",
-        "    return tuple(rows)\n",
-        "    return tuple(rows[1:])\n",
+        "*rest), i + 1))\n    return tuple(rows)\n",
+        "*rest), i + 1))\n    return tuple(rows[1:])\n",
         ["tests/test_wci.py::test_repr_over_matches_oracle_on_every_stratum"],
     ),
     (
@@ -58,10 +58,38 @@ MUTANTS = [
         ["tests/test_wci.py::test_repr_over_matches_oracle_on_every_stratum"],
     ),
     (
+        "hypersurface well-formedness threshold k > dim",
+        "src/wcikit/wci.py",
+        "if k > dim - 1:  # excess k - 1 leaves codimension < 2",
+        "if k > dim:  # excess k - 1 leaves codimension < 2",
+        ["tests/test_wci.py::test_hypersurface_masks_match_per_family_predicates"],
+    ),
+    (
+        "Q2 ladder read at ge[k - 1]",
+        "src/wcikit/wci.py",
+        "fails |= full & ~(R | ge[k])",
+        "fails |= full & ~(R | ge[k - 1])",
+        ["tests/test_wci.py::test_hypersurface_masks_match_per_family_predicates"],
+    ),
+    (
+        "single-monomial mask B_W marks the degrees with no monomial",
+        "src/wcikit/wci.py",
+        "rows.append(row + (R, B))",
+        "rows.append(row + (R, full & ~R))",
+        ["tests/test_wci.py::test_degree_table_masks_match_oracle"],
+    ),
+    (
+        "single-monomial mask B_W ignores a doubled weight",
+        "src/wcikit/wci.py",
+        "if coords.count(v) > 1:",
+        "if coords.count(v) > 2:",
+        ["tests/test_wci.py::test_degree_table_masks_match_oracle"],
+    ),
+    (
         "unit-stratum skip tested on W[-1]",
         "src/wcikit/wci.py",
-        "if detailed or W[0] != 1:",
-        "if detailed or W[-1] != 1:",
+        "if detailed or W[0] != 1\n",
+        "if detailed or W[-1] != 1\n",
         ["tests/test_wci.py::test_verdict_walk_skips_unit_strata"],
     ),
 ]
