@@ -7,15 +7,15 @@ report is sorted by canonical encoding, so output is byte-identical for any
 worker count.  `enumerate_instances` walks the same weight-tuple domain and
 alone takes a FamilyFilter, which selects the families it lists.
 
-Regularity is decided wholesale: a weight tuple induces requirements
-(g -> minimum count of degrees divisible by g), degree multisets are
-pre-grouped by their divisibility signature, and a bitset index over the
-signatures (one Python int per g and count) finds the matching groups with
-one AND per requirement; every entry of a matched group is then compared with
-the claim's amplitude threshold.  The three regular-pair claims share one
-partition worker, `_part_regular`, and differ only in that bound and in what
-an equality case records.  Only the nonvanishing claim bisects: its degree
-multisets are sorted by sum per codimension, so delta <= 0 is a prefix.
+Regularity is decided wholesale.  Each degree window has one universe whose
+multisets, sorted by (sum, ds), are the bit positions of Python-int bitsets.
+A weight tuple's regular multisets are the AND of its requirement bitsets;
+with cones and codims over the cap masked out, a popcount is the number
+checked, and only set bits below the largest amplitude bound (a prefix) are
+visited one by one.  The three regular-pair claims share that worker,
+`_part_regular`, and differ only in the bound and in what an equality case
+records.  The nonvanishing claim sorts its degree multisets by sum per
+codimension, so delta <= 0 is a prefix there too.
 
 The two family claims build one degree table (`wci._degree_table`) per
 weight tuple.  The hypersurface claim takes its well-formed, quasi-smooth
@@ -37,6 +37,7 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
 from time import perf_counter
+from typing import NamedTuple
 
 from . import hilbert
 from .arith import frobenius, is_prime
@@ -173,98 +174,91 @@ def _count_tuples(num_values: int, min_len: int, max_len: int) -> int:
     return sum(math.comb(num_values + L - 1, L) for L in range(min_len, max_len + 1))
 
 
-def _regularity_requirements(weights: tuple[int, ...]) -> dict[int, int]:
-    """g -> required count of g-divisible degrees for the pair to be regular.
+class _Universe(NamedTuple):
+    """A degree window's multisets, one bit position each; see `_degree_universe`."""
 
-    A pair is 1-regular when, for every subset of the weights with gcd h > 1,
-    at least as many degrees as the subset has entries are divisible by h.
-    The map {g: number of weights divisible by g}, over every g >= 2 dividing
-    some weight, selects exactly the same degree multisets.  A subset with gcd
-    h lies inside the weights divisible by h, so the map asks at least as much
-    as the subset does.  Conversely, the weights divisible by g have a gcd g'
-    with g | g', that subset asks for that many degrees divisible by g', and
-    every degree divisible by g' is divisible by g.
-    """
-    req: dict[int, int] = {}
-    for g in range(2, max(weights) + 1):
-        k = sum(1 for a in weights if a % g == 0)
-        if k:
-            req[g] = k
-    return req
+    entries: tuple[tuple[int, ...], ...]  # sorted by (sum, ds)
+    sums: list[int]
+    groups: dict[int, int]  # divisibility key -> bitset of its entries
+    without: list[int]  # [v]: entries with no degree equal to v, v <= max_weight
+    codim_le: list[int]  # [c]: entries with codim <= c
+    divisors: list[tuple[int, ...]]  # [a]: the g in 2..max_weight dividing a
 
 
 @lru_cache(maxsize=16)
 def _degree_universe(
-    max_codim: int, max_degree: int, min_degree: int, divisor: int, sig_max: int
-) -> dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
-    """Degree multisets grouped by divisibility signature, sorted by sum.
+    max_codim: int, max_degree: int, min_degree: int, divisor: int, max_weight: int
+) -> _Universe:
+    """Every degree multiset of a window as one bit position, sorted by (sum, ds).
 
-    The signature of a multiset is (count of entries divisible by g, capped at
-    max_codim) for g in 2..sig_max; a requirement map is satisfied by exactly
-    the groups whose signature dominates it, which `_dominance_index` finds.
+    A multiset's divisibility key, the sum of its degrees' packed codes, holds
+    for each g in 2..max_weight its count of degrees divisible by g in a field
+    of max_codim.bit_length() bits.  Built lazily, never before a pool forks.
     """
+    top, width = max(max_degree, max_weight), max_codim.bit_length()
+    divisors = [tuple(g for g in range(2, max_weight + 1) if a % g == 0) for a in range(top + 1)]
+    code = [sum(1 << width * (g - 2) for g in divs) for divs in divisors]
     values = [d for d in range(max_degree, min_degree - 1, -1) if d % divisor == 0]
-    groups: dict[tuple[int, ...], list] = {}
-    for c in range(1, max_codim + 1):
-        for ds in combinations_with_replacement(values, c):
-            sig = tuple(
-                min(sum(1 for d in ds if d % g == 0), max_codim)
-                for g in range(2, sig_max + 1)
-            )
-            groups.setdefault(sig, []).append((sum(ds), ds, frozenset(ds)))
-    return {
-        sig: tuple(sorted(lst, key=lambda e: e[:2])) for sig, lst in groups.items()
-    }
-
-
-@lru_cache(maxsize=16)
-def _dominance_index(universe_key: tuple) -> tuple[tuple, dict[tuple[int, int], int]]:
-    """(signatures in universe order, {(g, k): bitset}) of one degree universe.
-
-    Bit i of the (g, k) bitset is set when signature i counts at least k
-    degrees divisible by g, for 2 <= g <= sig_max and 1 <= k <= max_codim.
-    Built lazily by the first process that matches, never before a pool forks.
-    """
-    sigs = tuple(_degree_universe(*universe_key))
-    max_codim, sig_max = universe_key[0], universe_key[4]
-    bits = {(g, k): 0 for g in range(2, sig_max + 1) for k in range(1, max_codim + 1)}
-    for i, sig in enumerate(sigs):
+    sizes = range(1, max_codim + 1)
+    pairs = sorted((sum(ds), ds) for c in sizes for ds in combinations_with_replacement(values, c))
+    groups: dict[int, int] = {}
+    holding = [0] * (top + 1)
+    codim_le = [0] * (max_codim + 1)
+    for i, (_, ds) in enumerate(pairs):
         bit = 1 << i
-        for g, count in enumerate(sig, start=2):
-            for k in range(1, count + 1):
-                bits[g, k] |= bit
-    return sigs, bits
+        key = sum(map(code.__getitem__, ds))
+        groups[key] = groups.get(key, 0) | bit
+        for v in set(ds):
+            holding[v] |= bit
+        codim_le[len(ds)] |= bit
+    for c in range(1, max_codim + 1):
+        codim_le[c] |= codim_le[c - 1]
+    without = [codim_le[max_codim] ^ has for has in holding[: max_weight + 1]]
+    return _Universe(
+        tuple(ds for _, ds in pairs), [s for s, _ in pairs], groups, without, codim_le, divisors
+    )
 
 
-_match_cache: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+# (universe key, g) -> its `_requirement_bits`, built when g is first required.
+_match_cache: dict[tuple, tuple[int, ...]] = {}
 
 
-def _matching_sigs(universe_key: tuple, req: dict[int, int]) -> tuple[tuple[int, ...], ...]:
-    """Signatures that dominate req, in universe order: one AND per entry."""
-    max_codim = universe_key[0]
-    if any(k > max_codim for k in req.values()):
-        return ()
-    key = (universe_key, tuple(sorted(req.items())))
-    hit = _match_cache.get(key)
-    if hit is not None:
-        return hit
-    sigs, bits = _dominance_index(universe_key)
-    mask = (1 << len(sigs)) - 1
-    for g, k in req.items():
-        mask &= bits[g, k]
-    found = []
-    while mask:
-        low = mask & -mask
-        found.append(sigs[low.bit_length() - 1])
-        mask ^= low
-    result = _match_cache[key] = tuple(found)
-    return result
+def _requirement_bits(universe_key: tuple, g: int) -> tuple[int, ...]:
+    """bits[g, k] for k = 0..max_codim: the entries with at least k degrees
+    divisible by g, from each key group's count of them."""
+    bits = _match_cache.get((universe_key, g))
+    if bits is None:
+        width = universe_key[0].bit_length()
+        ladder = [0] * (universe_key[0] + 1)
+        for key, group in _degree_universe(*universe_key).groups.items():
+            ladder[(key >> width * (g - 2)) & ((1 << width) - 1)] |= group  # exactly k
+        for k in reversed(range(len(ladder) - 1)):
+            ladder[k] |= ladder[k + 1]  # at least k
+        bits = _match_cache[universe_key, g] = tuple(ladder)
+    return bits
 
 
-def _matched_groups(universe_key: tuple, weights: tuple[int, ...]):
+def _regular_mask(universe_key: tuple, weights: tuple[int, ...]) -> int:
+    """The entries ds over which the pair (ds; weights) is 1-regular.
+
+    1-regular means: for every subset of the weights with gcd h > 1, at least
+    as many degrees as the subset has entries are divisible by h.  Requiring,
+    for every g >= 2 dividing some weight, as many g-divisible degrees as
+    there are weights divisible by g selects exactly the same multisets: a
+    subset with gcd h lies inside the weights divisible by h; conversely, the
+    weights divisible by g have a gcd g' with g | g', that subset asks for
+    that many degrees divisible by g', and each of them is divisible by g.
+    """
     universe = _degree_universe(*universe_key)
-    for sig in _matching_sigs(universe_key, _regularity_requirements(weights)):
-        yield universe[sig]
+    req: dict[int, int] = {}
+    for a in weights:
+        for g in universe.divisors[a]:
+            req[g] = req.get(g, 0) + 1
+    mask = universe.codim_le[-1]
+    for g, k in req.items():
+        bits = _requirement_bits(universe_key, g)
+        mask &= bits[k] if k < len(bits) else 0  # no multiset has k > max_codim degrees
+    return mask
 
 
 @lru_cache(maxsize=None)
@@ -285,7 +279,7 @@ def _entry_key(entry: dict) -> tuple[str, str]:
 
 
 def _frobenius_limits(weights: tuple[int, ...], max_codim: int, q):
-    """delta >= Frobenius(weights) at every c <= n, for coprime weights only."""
+    """delta >= Frobenius(weights) at every c <= n - 1, for coprime weights only."""
     if reduce(math.gcd, weights) != 1:
         return None
     return [_frobenius_cached(tuple(sorted(weights)))] * len(weights)
@@ -326,6 +320,7 @@ def _qdiv_equality(ds: tuple[int, ...], weights: tuple[int, ...], cex: list, wit
 
 def _part_regular(claim: str, bounds: SearchBounds, q, first: int):
     spec, values, universe_key = _domain(claim, bounds, q)
+    universe = _degree_universe(*universe_key)
     checked = 0
     cex: list[dict] = []
     wits: list[dict] = []
@@ -333,23 +328,26 @@ def _part_regular(claim: str, bounds: SearchBounds, q, first: int):
         limits = spec.limits(weights, bounds.max_codim, q)
         if limits is None:
             continue
-        max_c = len(limits) - 1
-        value_set = set(weights)
+        max_c = min(len(limits) - 1, bounds.max_codim)
+        mask = _regular_mask(universe_key, weights) & universe.codim_le[max_c]
+        for v in set(weights):
+            mask &= universe.without[v]  # not a linear cone
+        checked += mask.bit_count()
+        # Only an entry with delta <= max(limits) can fall below or meet its bound.
         sum_a = sum(weights)
-        for group in _matched_groups(universe_key, weights):
-            for sum_d, ds, dvals in group:
-                c = len(ds)
-                if c > max_c or not value_set.isdisjoint(dvals):
-                    continue  # over the codim cap, or a linear cone
-                checked += 1
-                delta = sum_d - sum_a
-                bound = limits[c]
-                if delta < bound:
-                    cex.append(
-                        {"pair": _pair_encoding(ds, weights), "delta": delta, spec.bound_key: bound}
-                    )
-                elif delta == bound and spec.on_equality is not None:
-                    spec.on_equality(ds, weights, cex, wits)
+        mask &= (1 << bisect_right(universe.sums, sum_a + max(limits))) - 1
+        while mask:
+            i = (mask & -mask).bit_length() - 1
+            mask ^= 1 << i
+            ds = universe.entries[i]
+            delta = universe.sums[i] - sum_a
+            bound = limits[len(ds)]
+            if delta < bound:
+                cex.append(
+                    {"pair": _pair_encoding(ds, weights), "delta": delta, spec.bound_key: bound}
+                )
+            elif delta == bound and spec.on_equality is not None:
+                spec.on_equality(ds, weights, cex, wits)
     return checked, cex, wits
 
 
@@ -509,7 +507,7 @@ _REFINE_TUPLE_CAP = 2_000_000
 
 
 def _estimate_regular(bounds: SearchBounds, universe_key: tuple, weights: tuple[int, ...]) -> int:
-    return sum(len(group) for group in _matched_groups(universe_key, weights))
+    return _regular_mask(universe_key, weights).bit_count()
 
 
 def _estimate_delta_le_zero(

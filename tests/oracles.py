@@ -69,16 +69,24 @@ def frobenius(gens: list[int]) -> int:
 # -- pair regularity ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _subset_gcds(weights: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(gcd a_I, |I|) of every index subset I of the weights, repeats dropped."""
+    n1 = len(weights)
+    return tuple(
+        dict.fromkeys(
+            (gcd(*(weights[i] for i in idx)), k)
+            for k in range(1, n1 + 1)
+            for idx in combinations(range(n1), k)
+        )
+    )
+
+
 def h_regular(degrees: tuple[int, ...], weights: tuple[int, ...], h: int) -> bool:
     """Every index subset I with gcd(a_i) > 1 divides h or |I| of the degrees."""
-    n1 = len(weights)
-    for k in range(1, n1 + 1):
-        for idx in combinations(range(n1), k):
-            g = gcd(*(weights[i] for i in idx))
-            if g == 1 or h % g == 0:
-                continue
-            if sum(1 for d in degrees if d % g == 0) < k:
-                return False
+    for g, k in _subset_gcds(tuple(weights)):
+        if g > 1 and h % g and sum(1 for d in degrees if d % g == 0) < k:
+            return False
     return True
 
 
@@ -273,15 +281,6 @@ def _run_length(weights: tuple[int, ...]) -> str:
 def _encode_pair(degrees: tuple[int, ...], weights: tuple[int, ...]) -> str:
     """'d1,d2,.../a^m,...': degrees listed, weights run-length encoded, both descending."""
     return ",".join(map(str, sorted(degrees, reverse=True))) + "/" + _run_length(weights)
-
-
-def matching_sigs(universe: dict, req: dict[int, int]) -> tuple[tuple[int, ...], ...]:
-    """Signatures of a degree universe that dominate req, by scanning them all.
-
-    A signature lists, for g = 2, 3, ..., the count of degrees divisible by g;
-    it dominates req when that count is at least k for every g -> k in req.
-    """
-    return tuple(sig for sig in universe if all(sig[g - 2] >= k for g, k in req.items()))
 
 
 def verify_regular(claim: str, window: tuple[int, int, int, int], q: int | None = None) -> dict:

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import math
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -251,8 +252,8 @@ def test_pool_never_outnumbers_partitions(monkeypatch):
     assert report.instances_checked == 621
 
 
-# Every requirement map of these windows; the lemma-qdiv one walks the
-# divisor-2 universe.
+# Every weight tuple of these windows; the lemma-qdiv one walks the divisor-2
+# universe.
 MATCH_WINDOWS = [
     ("prop-regular", (3, 5, 8, 24), None),
     ("conjecture-regular", (2, 5, 10, 30), None),
@@ -261,29 +262,70 @@ MATCH_WINDOWS = [
 
 
 @pytest.mark.parametrize("claim, window, q", MATCH_WINDOWS, ids=[w[0] for w in MATCH_WINDOWS])
-def test_dominance_index_matches_naive_scan(claim, window, q):
-    verify._match_cache.clear()  # compare fresh ANDs, not earlier tests' results
+def test_regular_mask_matches_naive_scan(claim, window, q):
+    verify._match_cache.clear()  # build fresh requirement bitsets, not earlier tests'
+    max_codim, max_vars, _, max_degree = window
     spec, values, universe_key = verify._domain(claim, SearchBounds(*window), q)
     universe = verify._degree_universe(*universe_key)
-    reqs = {
-        tuple(verify._regularity_requirements(weights).items())
+    entries = universe.entries
+    degrees = range(q or 1, max_degree + 1, q or 1)
+    every = [
+        ds for c in range(1, max_codim + 1) for ds in combinations_with_replacement(degrees, c)
+    ]
+    assert sorted(map(sorted, entries)) == sorted(map(sorted, every))
+    assert universe.sums == sorted(universe.sums) == [sum(ds) for ds in entries]
+    tuples = [
+        ws
         for first in values
-        for weights in verify._tuples_with_first(first, values, spec.min_len, window[1])
-    }
-    assert len(reqs) > 10
-    for req in map(dict, sorted(reqs)):
-        assert verify._matching_sigs(universe_key, req) == oracles.matching_sigs(universe, req), req
-    over = {2: window[0] + 1}
-    assert verify._matching_sigs(universe_key, over) == () == oracles.matching_sigs(universe, over)
+        for ws in verify._tuples_with_first(first, values, spec.min_len, max_vars)
+    ]
+    assert len(tuples) > 10
+    for ws in tuples:
+        bits = format(verify._regular_mask(universe_key, ws), "b")[::-1]
+        selected = {entries[i] for i, bit in enumerate(bits) if bit == "1"}
+        assert selected == {ds for ds in entries if oracles.h_regular(ds, ws, 1)}, ws
+    over = (2,) * (max_codim + 1)  # asks for more even degrees than any multiset has
+    assert verify._regular_mask(universe_key, over) == 0
+    assert not any(oracles.h_regular(ds, over, 1) for ds in entries)
 
 
 def test_no_universe_built_before_the_pool_forks():
     verify._degree_universe.cache_clear()
-    verify._dominance_index.cache_clear()
+    verify._match_cache.clear()
     report = verify_prop_regular(SearchBounds(2, 4, 6, 12), workers=2)
     assert report.instances_checked > 0
     assert verify._degree_universe.cache_info().currsize == 0
-    assert verify._dominance_index.cache_info().currsize == 0
+    assert verify._match_cache == {}
+
+
+# Tiny windows whose raw product, tuples x multisets, exceeds the ceiling given.
+ESTIMATE_WINDOWS = [
+    ("prop-regular", (2, 3, 6, 10), None),
+    ("conjecture-regular", (2, 4, 6, 12), None),
+    ("lemma-qdiv", (3, 3, 8, 12), 2),
+]
+
+
+@pytest.mark.parametrize("claim, window, q", ESTIMATE_WINDOWS, ids=[w[0] for w in ESTIMATE_WINDOWS])
+def test_estimate_refinement_counts_regular_multisets(claim, window, q):
+    """Above the ceiling the estimate counts, per canonical weight tuple, the
+    1-regular degree multisets, cones and codims over the claim's cap included."""
+    max_codim, max_vars, max_weight, max_degree = window
+    step = q or 1
+    weight_values = [a for a in range(max(step, 2), max_weight + 1) if a % step == 0]
+    min_len = 2 if claim == "conjecture-regular" else 1
+    tuples = [
+        ws
+        for n in range(min_len, max_vars + 1)
+        for ws in combinations_with_replacement(weight_values, n)
+    ]
+    degrees = range(step, max_degree + 1, step)
+    multisets = [
+        ds for c in range(1, max_codim + 1) for ds in combinations_with_replacement(degrees, c)
+    ]
+    expected = sum(oracles.h_regular(ds, ws, 1) for ws in tuples for ds in multisets)
+    assert 0 < expected < len(tuples) * len(multisets)  # the raw product is not it
+    assert verify._estimate(claim, SearchBounds(*window), q, 1) == expected
 
 
 def test_report_serialization_shape():

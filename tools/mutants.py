@@ -44,6 +44,41 @@ MUTANTS = [
         ],
     ),
     (
+        "regular pairs without the without[v] cone mask",
+        "src/wcikit/verify.py",
+        "        for v in set(weights):\n"
+        "            mask &= universe.without[v]  # not a linear cone\n",
+        "",
+        [
+            "tests/test_verify.py::test_prop_regular_small_window",
+            "tests/test_verify.py::test_regular_claims_match_naive_walk",
+        ],
+    ),
+    (
+        "regular-pair codim cap read at max_c - 1",
+        "src/wcikit/verify.py",
+        "universe.codim_le[max_c]",
+        "universe.codim_le[max_c - 1]",
+        ["tests/test_verify.py::test_regular_claims_match_naive_walk"],
+    ),
+    (
+        "regular-pair candidate prefix one short",
+        "src/wcikit/verify.py",
+        "sum_a + max(limits))",
+        "sum_a + max(limits) - 1)",
+        [
+            "tests/test_verify.py::test_prop_regular_small_window",
+            "tests/test_verify.py::test_regular_claims_match_naive_walk",
+        ],
+    ),
+    (
+        "requirement bits[g, k] built with >= k - 1",
+        "src/wcikit/verify.py",
+        "= tuple(ladder)",
+        "= tuple(ladder[:1] + ladder[:-1])",
+        ["tests/test_verify.py::test_regular_mask_matches_naive_scan"],
+    ),
+    (
         "stratum table drops a row",
         "src/wcikit/wci.py",
         "*rest), i + 1))\n    return tuple(rows)\n",
