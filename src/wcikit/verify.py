@@ -14,15 +14,20 @@ with cones and codims over the cap masked out, a popcount is the number
 checked, and only set bits below the largest amplitude bound (a prefix) are
 visited one by one.  The three regular-pair claims share that worker,
 `_part_regular`, and differ only in the bound and in what an equality case
-records.  The nonvanishing claim sorts its degree multisets by sum per
-codimension, so delta <= 0 is a prefix there too.
+records.  The nonvanishing claim walks the same kind of universe, where
+delta <= 0 is a prefix too.
 
 The two family claims build one degree table (`wci._degree_table`) per
 weight tuple.  The hypersurface claim takes its well-formed, quasi-smooth
 degrees and their indices from one pass over it, and its section counts from
-one series per weight tuple; the nonvanishing claim runs the stratum
-predicates on each degree multiset by bit tests.  Either builds a WciFamily
-only for an instance that passes them.
+one series per weight tuple; it builds a WciFamily only for a base locus.
+The nonvanishing claim decides cones, well-formedness and Q1 for every
+degree multiset at once, as bitsets: per table row, a count ladder (the
+entries with at least j degrees in R_W, memoized per partition) gives the
+entries that fail well-formedness and those that fail Q1, and the degrees
+that no outside class reaches rule out the latter when they hold one.  The
+exact Q2 search runs only on the rows where a survivor fails Q1, and a
+WciFamily is built only for the families that pass.
 """
 
 from __future__ import annotations
@@ -51,10 +56,9 @@ from .wci import (
     _geometry,
     _hypersurface_indices,
     _index,
-    _qs_verdict,
     _singular_strata,
     _smooth,
-    _well_formed,
+    _stratum_outcome,
     canonical_degree,
     space_well_formed,
 )
@@ -275,6 +279,19 @@ def _entry_key(entry: dict) -> tuple[str, str]:
     return (enc, json.dumps(entry, sort_keys=True))
 
 
+def _set_bits(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _sum_at_most(universe: _Universe, bound: int) -> int:
+    """The entries whose degrees sum to at most bound: a prefix."""
+    return (1 << bisect_right(universe.sums, bound)) - 1
+
+
 # -- per-claim partition workers --------------------------------------------------
 
 
@@ -335,10 +352,8 @@ def _part_regular(claim: str, bounds: SearchBounds, q, first: int):
         checked += mask.bit_count()
         # Only an entry with delta <= max(limits) can fall below or meet its bound.
         sum_a = sum(weights)
-        mask &= (1 << bisect_right(universe.sums, sum_a + max(limits))) - 1
-        while mask:
-            i = (mask & -mask).bit_length() - 1
-            mask ^= 1 << i
+        mask &= _sum_at_most(universe, sum_a + max(limits))
+        for i in _set_bits(mask):
             ds = universe.entries[i]
             delta = universe.sums[i] - sum_a
             bound = limits[len(ds)]
@@ -356,9 +371,111 @@ def _expected_equality_family(family: WciFamily) -> bool:
     return family.degrees == (6,) * c and family.weights.classes == ((3, c), (2, c), (1, c))
 
 
+class _Ladders:
+    """Count ladders over one universe's entries, memoized per degree bitmask.
+
+    `ladders(M)[j]`, j = 0..max_codim, holds the entries with at least j
+    degrees, counted with multiplicity, in M; `[1]` is the entries holding some
+    degree of M.  A nonvanishing partition makes one: the masks M it asks for
+    (R_W and the starved degrees) recur across its weight tuples.
+    """
+
+    def __init__(self, universe: _Universe):
+        self.universe = universe
+        self.max_codim = len(universe.codim_le) - 1
+        # at[p][d]: the entries whose p-th largest degree is d
+        self.at: list[dict[int, int]] = [{} for _ in range(self.max_codim)]
+        for i, ds in enumerate(universe.entries):
+            for at_p, d in zip(self.at, ds):
+                at_p[d] = at_p.get(d, 0) | 1 << i
+        # every degree of the window is the largest of some entry
+        self.full = (1 << max(self.at[0]) + 1) - 1
+        self.memo: dict[int, list[int]] = {}
+
+    def __call__(self, M: int) -> list[int]:
+        ge = self.memo.get(M)
+        if ge is None:
+            ge = [self.universe.codim_le[-1]] + [0] * self.max_codim
+            for at_p in self.at:  # add one degree position at a time
+                inside = 0
+                for d, entries in at_p.items():
+                    if M >> d & 1:
+                        inside |= entries
+                for j in range(self.max_codim, 0, -1):
+                    ge[j] |= ge[j - 1] & inside
+            self.memo[M] = ge
+        return ge
+
+
+def _at_least(ge: list[int], j: int) -> int:
+    """A ladder's entries with at least j degrees in its mask."""
+    return ge[j] if j < len(ge) else 0
+
+
+def _stratum_masks(ladders: _Ladders, weights: WeightClasses, table, alive: int):
+    """(well_formed, starved, pending) for the entries in alive, as families
+    over weights, from the rows of their degree table.
+
+    Each is exact: the rules of `_excess` / `_meets_in_codim_below_2` and of
+    Q1 in `_stratum_outcome`, read as masks, where a codim-c entry ds has
+    dim = n - 1 - c and rep the degrees (with multiplicity) in R_W.
+    - well_formed: the entries no row with g > 1 and k > dim - 1 rules out; a
+      row does so when #rep <= min(k - 1, k - dim).  `_excess` also spares a
+      row where a degree d of rep has one monomial over W (d in B_W), but that
+      never changes the verdict: each value v of that monomial has one
+      coordinate, and W less v has gcd > 1, one coordinate fewer and at least
+      one rep fewer (d is not representable there), so it meets the same
+      bound; repeat until no rep degree has one monomial.
+    - pending: per row, the entries failing Q1 there (#rep < min(c, k)), as
+      (row, mask) pairs; an entry in no pending mask is quasi-smooth.
+    - starved: the entries that fail Q1 on some row and hold a degree d that
+      is neither in R_W nor at v above it for an outside class v.  Such a d is
+      left over in every Q2 attempt, with no class available, so the row
+      fails: these are not quasi-smooth.
+    """
+    universe = ladders.universe
+    layers = [
+        (c, alive & universe.codim_le[c] & ~universe.codim_le[c - 1])
+        for c in range(1, ladders.max_codim + 1)
+    ]
+    layers = [(c, layer) for c, layer in layers if layer]
+    well_formed, starved, pending = alive, 0, []
+    for row in table:
+        _W, k, g, _coords, outside, _mults, R, _B = row
+        ge = ladders(R)
+        failing = 0
+        for c, layer in layers:
+            dim = weights.total - 1 - c
+            if g > 1 and k > dim - 1:
+                well_formed &= ~(layer & ~_at_least(ge, min(k - 1, k - dim) + 1))
+            failing |= layer & ~_at_least(ge, min(c, k))
+        if failing:
+            reach = R
+            for v in outside:
+                reach |= R << v
+            starved |= failing & ladders(ladders.full & ~reach)[1]
+            pending.append((row, failing))
+    return well_formed, starved, pending
+
+
+def _geometric_entries(ladders: _Ladders, weights: WeightClasses, table, alive: int) -> int:
+    """The entries in alive that are well formed and quasi-smooth families over
+    weights: the masks of `_stratum_masks`, then `_stratum_outcome` on each
+    row where a survivor fails Q1."""
+    well_formed, starved, pending = _stratum_masks(ladders, weights, table, alive)
+    kept = well_formed & ~starved
+    for (W, k, _g, _coords, outside, mults, R, B), failing in pending:
+        for i in _set_bits(failing & kept):
+            ds = ladders.universe.entries[i]
+            if _stratum_outcome(ds, W, k, outside, mults, False, (R, B))[0] == "FAIL":
+                kept ^= 1 << i
+    return kept
+
+
 def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
-    spec, values, _ = _domain(claim, bounds, q)
-    degree_lists = _plain_degree_lists(bounds.max_codim, bounds.max_degree)
+    spec, values, universe_key = _domain(claim, bounds, q)
+    universe = _degree_universe(*universe_key)
+    ladders = _Ladders(universe)
     checked = 0
     cex: list[dict] = []
     wits: list[dict] = []
@@ -368,65 +485,48 @@ def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
             continue
         table = _degree_table(classes, bounds.max_degree)
         sum_a = sum(weights)
-        value_set = set(weights)
         max_c = min(bounds.max_codim, len(weights) - 1)
-        for c in range(1, max_c + 1):
-            sums, lists = degree_lists[c]
-            for i in range(bisect_right(sums, sum_a)):  # delta <= 0
-                ds = lists[i]
-                if not value_set.isdisjoint(ds):
-                    continue
-                if not _well_formed(ds, classes, table) or not _qs_verdict(ds, classes, table):
-                    continue
-                checked += 1
-                rows = list(_singular_strata(ds, classes, table))
-                family = WciFamily.of(ds, classes)
-                enc = family.encode()
-                index = _index(rows)
-                if hilbert.h0(family, index) < 1:
-                    cex.append(
-                        {"family": enc, "check": "nonvanishing", "index": index, "h0": 0}
-                    )
-                if not _smooth(rows):
-                    continue  # (b) and (c) do not apply
-                c1 = family.weights.multiplicity(1)
-                delta = sums[i] - sum_a
-                if c1 < c:
-                    cex.append({"family": enc, "check": "c1_ge_c", "c1": c1, "codim": c})
-                elif c1 == c:
-                    ok = _expected_equality_family(family)
-                    wits.append({"family": enc, "c1": c1, "is_expected_form": ok})
-                    if not ok:
-                        cex.append(
-                            {
-                                "family": enc,
-                                "check": "equality_form",
-                                "reason": "c1 = c outside the classified family",
-                            }
-                        )
-                if c1 <= -delta:
+        alive = universe.codim_le[max_c] & _sum_at_most(universe, sum_a)
+        for v in classes.values():
+            alive &= universe.without[v]  # not a linear cone
+        geometric = _geometric_entries(ladders, classes, table, alive)
+        checked += geometric.bit_count()
+        for i in _set_bits(geometric):
+            ds = universe.entries[i]
+            c = len(ds)
+            rows = list(_singular_strata(ds, classes, table))
+            family = WciFamily.of(ds, classes)
+            enc = family.encode()
+            index = _index(rows)
+            if hilbert.h0(family, index) < 1:
+                cex.append({"family": enc, "check": "nonvanishing", "index": index, "h0": 0})
+            if not _smooth(rows):
+                continue  # (b) and (c) do not apply
+            c1 = family.weights.multiplicity(1)
+            delta = universe.sums[i] - sum_a
+            if c1 < c:
+                cex.append({"family": enc, "check": "c1_ge_c", "c1": c1, "codim": c})
+            elif c1 == c:
+                ok = _expected_equality_family(family)
+                wits.append({"family": enc, "c1": c1, "is_expected_form": ok})
+                if not ok:
                     cex.append(
                         {
                             "family": enc,
-                            "check": "c1_gt_index",
-                            "c1": c1,
-                            "fano_index": -delta,
+                            "check": "equality_form",
+                            "reason": "c1 = c outside the classified family",
                         }
                     )
+            if c1 <= -delta:
+                cex.append(
+                    {
+                        "family": enc,
+                        "check": "c1_gt_index",
+                        "c1": c1,
+                        "fano_index": -delta,
+                    }
+                )
     return checked, cex, wits
-
-
-@lru_cache(maxsize=8)
-def _plain_degree_lists(max_codim: int, max_degree: int):
-    """Per codimension: (sorted sums, multisets in the same order)."""
-    out = {}
-    for c in range(1, max_codim + 1):
-        entries = sorted(
-            (sum(ds), ds)
-            for ds in combinations_with_replacement(range(max_degree, 0, -1), c)
-        )
-        out[c] = ([s for s, _ in entries], [ds for _, ds in entries])
-    return out
 
 
 def _pairwise_gcd_lcm(weights: tuple[int, ...]) -> int:
@@ -466,18 +566,19 @@ def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
         if not space_well_formed(classes):
             continue
         sum_a = sum(weights)
+        encoded = _encode_run_length(weights)
         # h0(O(h)) on X_f is P[h] - P[h - f], P the series of 1/prod(1 - t^a)
         series = hilbert.series_coefficients((), weights, bounds.max_degree)
         for f, index in _hypersurface_indices(classes, bounds.max_degree).items():
             checked += 1
-            family = WciFamily.of((f,), classes)
-            enc = family.encode()
+            enc = f"{f}/{encoded}"
             delta = f - sum_a
             start = (max(delta, 0) // index + 1) * index  # least multiple > max(delta, 0)
             for h_prime in range(start, bounds.max_degree + 1, index):
                 if series[h_prime] - (series[h_prime - f] if h_prime >= f else 0) < 1:
                     cex.append({"part": "b", "family": enc, "h_prime": h_prime, "h0": 0})
             if delta % index == 0:
+                family = WciFamily((f,), classes)
                 n = len(weights) - 1
                 for m in range(n, n + 3):
                     ell = delta + m * index
@@ -513,10 +614,9 @@ def _estimate_regular(bounds: SearchBounds, universe_key: tuple, weights: tuple[
 def _estimate_delta_le_zero(
     bounds: SearchBounds, universe_key: tuple, weights: tuple[int, ...]
 ) -> int:
-    degree_lists = _plain_degree_lists(bounds.max_codim, bounds.max_degree)
-    sum_a = sum(weights)
+    universe = _degree_universe(*universe_key)
     max_c = min(bounds.max_codim, len(weights) - 1)
-    return sum(bisect_right(degree_lists[c][0], sum_a) for c in range(1, max_c + 1))
+    return (universe.codim_le[max_c] & _sum_at_most(universe, sum(weights))).bit_count()
 
 
 @dataclass(frozen=True)

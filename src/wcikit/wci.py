@@ -17,11 +17,17 @@ A caller that tests many degree multisets on one weight tuple (the verify
 partitions) builds a degree table, `_degree_table(weights, D)`: the rows
 without a unit weight, each with two Python-int bitmasks over the degrees
 0..D, R_W (representable over W) and B_W (exactly one monomial over the
-stratum's coordinates).  The predicates take it as an optional argument and
-test bits where they would otherwise ask arith; the rules are written once.
+stratum's coordinates).  `_singular_strata` takes it as an optional argument,
+and `_rep`, `_excess` and `_stratum_outcome` a row's masks; they test bits
+where they would otherwise ask arith, so the rules are written once.
 `_hypersurface_indices` reads well-formedness, quasi-smoothness and the index
-off the table for every degree f <= D at once.  One-shot calls
-build no degree table (a 12-value weight tuple has 4,095 rows).
+off the table for every degree f <= D at once.  At codim >= 2 the
+nonvanishing claim (`verify._stratum_masks`) reads the same rows as masks
+over every degree multiset: a row rules out well-formedness for the
+multisets with few degrees in R_W, and passes Q1 for those with at least
+min(c, k); it calls `_stratum_outcome` with the row's masks only where Q1
+fails.  One-shot calls build no degree table (a 12-value weight tuple has
+4,095 rows), and `space_well_formed` reads only the gcds of the values.
 """
 
 from __future__ import annotations
@@ -142,9 +148,13 @@ def space_well_formed(weights) -> bool:
     ws = weights if isinstance(weights, WeightClasses) else WeightClasses.from_weights(weights)
     if ws.total < 2:
         raise UsageError("well-formedness needs at least two weights")
-    # n of the coordinates carry every value, or every value but one of
-    # multiplicity 1: exactly the strata with k >= n
-    return all(g == 1 for _W, k, g, *_row in _strata(ws) if k >= ws.total - 1)
+    # Dropping a coordinate leaves every value but the dropped one, and that
+    # one too when its class has another coordinate.
+    values = ws.values()
+    return all(
+        math.gcd(*values[:i], *values[i + 1:], v if m > 1 else 0) == 1
+        for i, (v, m) in enumerate(ws.classes)
+    )
 
 
 def is_linear_cone(family: WciFamily) -> bool:
@@ -514,18 +524,17 @@ def _fail_diagnosis(degrees, k, rho, rep, mask_of, mults) -> dict:
     return diag
 
 
-def _qs_walk(degrees, weights: WeightClasses, detailed: bool, table=None):
-    """(W, k, outcome, witness) per stratum in lex order, lazily, reading the
-    degree table when one is given (for the verdict only).  The verdict-only
-    form (detailed false) skips the strata with a unit weight, where every
-    degree is representable and Q1 holds, and leaves the witnesses empty.  A
-    linear cone raises at once."""
+def _qs_walk(degrees, weights: WeightClasses, detailed: bool):
+    """(W, k, outcome, witness) per stratum in lex order, lazily.  The
+    verdict-only form (detailed false) skips the strata with a unit weight,
+    where every degree is representable and Q1 holds, and leaves the witnesses
+    empty.  A linear cone raises at once."""
     if _is_cone(degrees, weights):
         raise DomainError("quasi-smoothness undefined for a linear cone")
-    rows = (_strata(weights) if table is None else table) if degrees else ()
+    rows = _strata(weights) if degrees else ()
     return (
-        (W, k) + _stratum_outcome(degrees, W, k, outside, mults, detailed, masks)
-        for W, k, _g, _coords, outside, mults, *masks in rows
+        (W, k) + _stratum_outcome(degrees, W, k, outside, mults, detailed, ())
+        for W, k, _g, _coords, outside, mults in rows
         if detailed or W[0] != 1
     )
 
@@ -538,9 +547,9 @@ def quasi_smooth(family: WciFamily) -> QsReport:
     return QsReport(all(s.outcome != "FAIL" for s in strata), strata)
 
 
-def _qs_verdict(degrees, weights: WeightClasses, table=None) -> bool:
+def _qs_verdict(degrees, weights: WeightClasses) -> bool:
     """Verdict-only quasi-smoothness: stops at the first FAIL."""
-    return all(row[2] != "FAIL" for row in _qs_walk(degrees, weights, False, table))
+    return all(row[2] != "FAIL" for row in _qs_walk(degrees, weights, False))
 
 
 def is_quasi_smooth(family: WciFamily) -> bool:
@@ -567,13 +576,12 @@ def _meets_in_codim_below_2(excess: int | None, dim: int) -> bool:
     return excess is not None and dim - excess < 2
 
 
-def _well_formed(degrees, weights: WeightClasses, table=None) -> bool:
-    """Well-formedness of the family, reading the degree table when one is
-    given; the ambient space is not checked."""
+def _well_formed(degrees, weights: WeightClasses) -> bool:
+    """Well-formedness of the family; the ambient space is not checked."""
     dim = weights.total - 1 - len(degrees)
-    for W, k, g, coords, _outside, _mults, *masks in _strata(weights) if table is None else table:
+    for W, k, g, coords, _outside, _mults in _strata(weights):
         if g > 1 and k > dim - 1:  # the excess is at most k - 1
-            excess = _excess(_rep(degrees, W, masks), k, coords, masks)
+            excess = _excess(_rep(degrees, W, ()), k, coords, ())
             if _meets_in_codim_below_2(excess, dim):
                 return False
     return True

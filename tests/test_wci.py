@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from wcikit import wci
+from wcikit import verify, wci
 from wcikit.cli import check_report
 from wcikit.errors import DomainError, UsageError
 from wcikit.hilbert import h0
@@ -450,30 +450,53 @@ def test_hypersurface_masks_match_per_family_predicates():
     assert families > 100_000 and passing > 5_000
 
 
-def test_codim_two_table_reads_match_per_family_predicates():
+def test_nonvanishing_masks_match_per_family_predicates():
+    # Every non-cone family with 2-5 weights <= 6, codim 1-3 and degrees <= 16:
+    # the nonvanishing claim's masks against the one-shot predicates.
     upto = 16
-    checked = 0
+    universe = verify._degree_universe(3, upto, 1, 1, 6)
+    ladders = verify._Ladders(universe)
+    checked = by_starved = by_q1 = 0
     verdicts = set()
     for weights in _small_weight_tuples(5, 6):
-        if weights.total < 3:
-            continue
+        alive = universe.codim_le[min(3, weights.total - 1)]
+        for v in weights.values():
+            alive &= universe.without[v]
         table = wci._degree_table(weights, upto)
-        for degrees in combinations_with_replacement(range(upto, 0, -1), 2):
-            if weights.multiplicity(degrees[0]) or weights.multiplicity(degrees[1]):
-                continue
-            wf = wci._well_formed(degrees, weights, table)
-            assert wf == wci._well_formed(degrees, weights), (degrees, weights)
-            qs = wci._qs_verdict(degrees, weights, table)
-            assert qs == wci._qs_verdict(degrees, weights), (degrees, weights)
-            rows = list(wci._singular_strata(degrees, weights, table))
-            assert rows == list(wci._singular_strata(degrees, weights)), (degrees, weights)
-            verdicts.add((wf, qs, wci._smooth(rows), wci._index(rows) > 1))
+        well_formed, starved, pending = verify._stratum_masks(ladders, weights, table, alive)
+        kept = verify._geometric_entries(ladders, weights, table, alive)
+        q1_everywhere = well_formed
+        for (W, k, _g, _coords, outside, mults, _R, _B), failing in pending:
+            q1_everywhere &= ~failing
+            for i in verify._set_bits(failing & well_formed & ~starved):
+                outcome = wci._stratum_outcome(universe.entries[i], W, k, outside, mults, False, ())
+                assert outcome[0] != "Q1", (universe.entries[i], weights, W)
+        by_starved += (well_formed & starved).bit_count()
+        by_q1 += q1_everywhere.bit_count()
+        for i in verify._set_bits(alive):
+            degrees = universe.entries[i]
+            wf = wci._well_formed(degrees, weights)
+            qs = wci._qs_verdict(degrees, weights)
+            assert (well_formed >> i & 1, kept >> i & 1) == (wf, wf and qs), (degrees, weights)
+            assert not (qs and starved >> i & 1), (degrees, weights)
+            assert not (wf and not qs and q1_everywhere >> i & 1), (degrees, weights)
+            if wf and qs:
+                rows = list(wci._singular_strata(degrees, weights))
+                verdicts.add((wf, qs, wci._smooth(rows), wci._index(rows) > 1))
+            else:
+                verdicts.add((wf, qs))
             checked += 1
-    assert checked > 40_000
-    assert {(wf, qs) for wf, qs, *_rest in verdicts} == {
+    assert checked > 200_000 and by_starved > 0 and by_q1 > 0
+    assert {verdict[:2] for verdict in verdicts} == {
         (True, True), (True, False), (False, True), (False, False)
     }
     assert {(True, True, True, False), (True, True, False, True)} <= verdicts
+
+
+def test_space_well_formed_matches_oracle():
+    for n in range(2, 7):
+        for ws in combinations_with_replacement(range(12, 0, -1), n):
+            assert space_well_formed(ws) == oracles.space_well_formed(ws), ws
 
 
 def test_one_shot_requests_build_no_degree_table(monkeypatch, capsys):

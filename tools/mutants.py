@@ -57,8 +57,8 @@ MUTANTS = [
     (
         "regular-pair codim cap read at max_c - 1",
         "src/wcikit/verify.py",
-        "universe.codim_le[max_c]",
-        "universe.codim_le[max_c - 1]",
+        "weights) & universe.codim_le[max_c]",
+        "weights) & universe.codim_le[max_c - 1]",
         ["tests/test_verify.py::test_regular_claims_match_naive_walk"],
     ),
     (
@@ -77,6 +77,43 @@ MUTANTS = [
         "= tuple(ladder)",
         "= tuple(ladder[:1] + ladder[:-1])",
         ["tests/test_verify.py::test_regular_mask_matches_naive_scan"],
+    ),
+    (
+        "nonvanishing well-formedness threshold k - dim + 1",
+        "src/wcikit/verify.py",
+        "min(k - 1, k - dim) + 1)",
+        "min(k - 1, k - dim + 1) + 1)",
+        [
+            "tests/test_wci.py::test_nonvanishing_masks_match_per_family_predicates",
+            "tests/test_verify.py::test_family_claims_match_naive_walk",
+        ],
+    ),
+    (
+        "nonvanishing Q1 mask read at min(c, k) + 1",
+        "src/wcikit/verify.py",
+        "_at_least(ge, min(c, k))",
+        "_at_least(ge, min(c, k) + 1)",
+        [
+            "tests/test_wci.py::test_nonvanishing_masks_match_per_family_predicates",
+            "tests/test_verify.py::test_family_claims_match_naive_walk",
+        ],
+    ),
+    (
+        "starved-degree mask misses one outside class",
+        "src/wcikit/verify.py",
+        "for v in outside:\n                reach |= R << v\n",
+        "for v in outside[1:]:\n                reach |= R << v\n",
+        [
+            "tests/test_wci.py::test_nonvanishing_masks_match_per_family_predicates",
+            "tests/test_verify.py::test_family_claims_match_naive_walk",
+        ],
+    ),
+    (
+        "space_well_formed ignores a doubled class",
+        "src/wcikit/wci.py",
+        "v if m > 1 else 0",
+        "0",
+        ["tests/test_wci.py::test_space_well_formed_matches_oracle"],
     ),
     (
         "stratum table drops a row",
