@@ -18,16 +18,16 @@ records.  The nonvanishing claim walks the same kind of universe, where
 delta <= 0 is a prefix too.
 
 The two family claims build one degree table (`wci._degree_table`) per
-weight tuple.  The hypersurface claim takes its well-formed, quasi-smooth
-degrees and their indices from one pass over it, and its section counts from
-one series per weight tuple; it builds a WciFamily only for a base locus.
-The nonvanishing claim decides cones, well-formedness and Q1 for every
-degree multiset at once, as bitsets: per table row, a count ladder (the
-entries with at least j degrees in R_W, memoized per partition) gives the
-entries that fail well-formedness and those that fail Q1, and the degrees
-that no outside class reaches rule out the latter when they hold one.  The
-exact Q2 search runs only on the rows where a survivor fails Q1, and a
-WciFamily is built only for the families that pass.
+weight tuple and read it with one mask engine, over a degree universe: the
+hypersurface claim's has the codim-1 multisets (f) alone.  Per table row, a
+count ladder (the entries with at least j degrees in a degree mask, memoized
+per partition) gives the entries that fail well-formedness and those that
+fail Q1; at codim 1 a count of the outside coordinates that reach R_W decides
+Q2, and at codim >= 2 the degrees that no outside class reaches rule out the
+entries that hold one.  The exact Q2 search runs only on the rows where a
+survivor of codim >= 2 fails Q1.  The index and smoothness of the survivors
+are masks too, and section counts come from one series per weight tuple, so
+a WciFamily is built only for a base locus.
 """
 
 from __future__ import annotations
@@ -52,12 +52,9 @@ from .wci import (
     WciFamily,
     WeightClasses,
     _base_locus,
+    _closure,
     _degree_table,
     _geometry,
-    _hypersurface_indices,
-    _index,
-    _singular_strata,
-    _smooth,
     _stratum_outcome,
     canonical_degree,
     space_well_formed,
@@ -366,18 +363,14 @@ def _part_regular(claim: str, bounds: SearchBounds, q, first: int):
     return checked, cex, wits
 
 
-def _expected_equality_family(family: WciFamily) -> bool:
-    c = family.codim
-    return family.degrees == (6,) * c and family.weights.classes == ((3, c), (2, c), (1, c))
-
-
 class _Ladders:
     """Count ladders over one universe's entries, memoized per degree bitmask.
 
     `ladders(M)[j]`, j = 0..max_codim, holds the entries with at least j
     degrees, counted with multiplicity, in M; `[1]` is the entries holding some
-    degree of M.  A nonvanishing partition makes one: the masks M it asks for
-    (R_W and the starved degrees) recur across its weight tuples.
+    degree of M.  Each family-claim partition makes one: the masks M it asks
+    for (R_W, its shifts and its single-monomial part, the multiples of a gcd,
+    the starved degrees) recur across its weight tuples.
     """
 
     def __init__(self, universe: _Universe):
@@ -413,11 +406,11 @@ def _at_least(ge: list[int], j: int) -> int:
 
 
 def _stratum_masks(ladders: _Ladders, weights: WeightClasses, table, alive: int):
-    """(well_formed, starved, pending) for the entries in alive, as families
+    """(well_formed, failed, pending) for the entries in alive, as families
     over weights, from the rows of their degree table.
 
     Each is exact: the rules of `_excess` / `_meets_in_codim_below_2` and of
-    Q1 in `_stratum_outcome`, read as masks, where a codim-c entry ds has
+    `_stratum_outcome` read as masks, where a codim-c entry ds has
     dim = n - 1 - c and rep the degrees (with multiplicity) in R_W.
     - well_formed: the entries no row with g > 1 and k > dim - 1 rules out; a
       row does so when #rep <= min(k - 1, k - dim).  `_excess` also spares a
@@ -426,50 +419,107 @@ def _stratum_masks(ladders: _Ladders, weights: WeightClasses, table, alive: int)
       coordinate, and W less v has gcd > 1, one coordinate fewer and at least
       one rep fewer (d is not representable there), so it meets the same
       bound; repeat until no rep degree has one monomial.
-    - pending: per row, the entries failing Q1 there (#rep < min(c, k)), as
-      (row, mask) pairs; an entry in no pending mask is quasi-smooth.
-    - starved: the entries that fail Q1 on some row and hold a degree d that
-      is neither in R_W nor at v above it for an outside class v.  Such a d is
-      left over in every Q2 attempt, with no class available, so the row
-      fails: these are not quasi-smooth.
+    - failed: entries that are not quasi-smooth.  A row fails Q1 for the
+      entries with #rep < min(c, k).  At c = 1 Q2 is a count: the one degree f
+      needs k outside coordinates v, with multiplicity, with f - v in R_W.  At
+      c >= 2 an entry failing Q1 fails the row when it holds a degree d that
+      is neither in R_W nor at v above it for an outside class v: such a d is
+      left over in every Q2 attempt, with no class available.
+    - pending: per row, the entries of codim >= 2 failing Q1 there, as
+      (row, mask) pairs; the exact Q2 search decides them.
     """
-    universe = ladders.universe
+    universe, full = ladders.universe, ladders.full
     layers = [
-        (c, alive & universe.codim_le[c] & ~universe.codim_le[c - 1])
+        (c, weights.total - 1 - c, alive & universe.codim_le[c] & ~universe.codim_le[c - 1])
         for c in range(1, ladders.max_codim + 1)
     ]
-    layers = [(c, layer) for c, layer in layers if layer]
-    well_formed, starved, pending = alive, 0, []
+    layers = [layer for layer in layers if layer[2]]
+    single = alive & universe.codim_le[1]
+    well_formed, failed, pending = alive, 0, []
     for row in table:
-        _W, k, g, _coords, outside, _mults, R, _B = row
+        _W, k, g, _coords, outside, mults, R, _B = row
         ge = ladders(R)
         failing = 0
-        for c, layer in layers:
-            dim = weights.total - 1 - c
+        for c, dim, layer in layers:
             if g > 1 and k > dim - 1:
                 well_formed &= ~(layer & ~_at_least(ge, min(k - 1, k - dim) + 1))
             failing |= layer & ~_at_least(ge, min(c, k))
+        q2 = failing & single & well_formed & ~failed
+        failing &= ~single
+        if q2 and sum(mults) >= k:  # else too few outside coordinates
+            avail = [q2] + [0] * k  # [j]: with j or more available coordinates
+            for v, m in zip(outside, mults):
+                hit = ladders(R << v & full)[1]
+                for j in range(k, 0, -1):
+                    avail[j] |= hit & avail[max(j - m, 0)]
+            q2 &= ~avail[k]
+        failed |= q2
         if failing:
             reach = R
             for v in outside:
                 reach |= R << v
-            starved |= failing & ladders(ladders.full & ~reach)[1]
+            failed |= failing & ladders(full & ~reach)[1]
             pending.append((row, failing))
-    return well_formed, starved, pending
+    return well_formed, failed, pending
 
 
 def _geometric_entries(ladders: _Ladders, weights: WeightClasses, table, alive: int) -> int:
     """The entries in alive that are well formed and quasi-smooth families over
     weights: the masks of `_stratum_masks`, then `_stratum_outcome` on each
     row where a survivor fails Q1."""
-    well_formed, starved, pending = _stratum_masks(ladders, weights, table, alive)
-    kept = well_formed & ~starved
-    for (W, k, _g, _coords, outside, mults, R, B), failing in pending:
+    well_formed, failed, pending = _stratum_masks(ladders, weights, table, alive)
+    kept = well_formed & ~failed
+    for (W, k, _g, _coords, outside, mults, R, _B), failing in pending:
         for i in _set_bits(failing & kept):
             ds = ladders.universe.entries[i]
-            if _stratum_outcome(ds, W, k, outside, mults, False, (R, B))[0] == "FAIL":
+            if _stratum_outcome(ds, W, k, outside, mults, False, R)[0] == "FAIL":
                 kept ^= 1 << i
     return kept
+
+
+def _index_masks(ladders: _Ladders, table, kept: int) -> tuple[dict[int, int], int]:
+    """({index: entries}, smooth) for the families in kept: `_index` and
+    `_smooth` over the rows of `_singular_strata`, read as masks.
+
+    A row with g > 1 is met by the entries with at most k - 1 degrees in R_W,
+    none of them in B_W (`_excess`).  Every entry it meets is singular, and it
+    adds g to the index of those with fewer than k degrees divisible by g
+    (condition (i) fails)."""
+    if not kept:
+        return {}, 0
+    by_index, smooth = {1: kept}, kept
+    for _W, k, g, _coords, _outside, _mults, R, B in table:
+        if g == 1:
+            continue
+        met = kept & ~_at_least(ladders(R), k) & ~ladders(R & B)[1]
+        if not met:
+            continue
+        smooth &= ~met
+        raised = met & ~_at_least(ladders(_closure(1, g, ladders.full)), k)
+        if raised:
+            split: dict[int, int] = {}
+            for index, entries in by_index.items():
+                for new, part in ((index, entries & ~raised), (math.lcm(index, g), entries & raised)):
+                    if part:
+                        split[new] = split.get(new, 0) | part
+            by_index = split
+    return by_index, smooth
+
+
+def _geometric_families(ladders: _Ladders, weights: WeightClasses, max_degree: int, alive: int):
+    """({index: entries}, smooth) for the well-formed, quasi-smooth non-cones
+    among the entries in alive, as families over weights."""
+    table = _degree_table(weights, max_degree)
+    for v in weights.values():
+        alive &= ladders.universe.without[v]  # not a linear cone
+    return _index_masks(ladders, table, _geometric_entries(ladders, weights, table, alive))
+
+
+def _h0(series: list[int], degrees: tuple[int, ...], h: int) -> int:
+    """dim H^0(O(h)) on a family of these degrees: the t^h coefficient of
+    series * prod(1 - t^d), series being that of 1/prod(1 - t^a)."""
+    subsets = (S for size in range(len(degrees) + 1) for S in combinations(degrees, size))
+    return sum((-1) ** len(S) * series[h - sum(S)] for S in subsets if sum(S) <= h)
 
 
 def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
@@ -483,49 +533,46 @@ def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
         classes = WeightClasses.from_weights(weights)
         if not space_well_formed(classes):
             continue
-        table = _degree_table(classes, bounds.max_degree)
         sum_a = sum(weights)
         max_c = min(bounds.max_codim, len(weights) - 1)
         alive = universe.codim_le[max_c] & _sum_at_most(universe, sum_a)
-        for v in classes.values():
-            alive &= universe.without[v]  # not a linear cone
-        geometric = _geometric_entries(ladders, classes, table, alive)
-        checked += geometric.bit_count()
-        for i in _set_bits(geometric):
-            ds = universe.entries[i]
-            c = len(ds)
-            rows = list(_singular_strata(ds, classes, table))
-            family = WciFamily.of(ds, classes)
-            enc = family.encode()
-            index = _index(rows)
-            if hilbert.h0(family, index) < 1:
-                cex.append({"family": enc, "check": "nonvanishing", "index": index, "h0": 0})
-            if not _smooth(rows):
-                continue  # (b) and (c) do not apply
-            c1 = family.weights.multiplicity(1)
-            delta = universe.sums[i] - sum_a
-            if c1 < c:
-                cex.append({"family": enc, "check": "c1_ge_c", "c1": c1, "codim": c})
-            elif c1 == c:
-                ok = _expected_equality_family(family)
-                wits.append({"family": enc, "c1": c1, "is_expected_form": ok})
-                if not ok:
+        by_index, smooth = _geometric_families(ladders, classes, bounds.max_degree, alive)
+        checked += sum(entries.bit_count() for entries in by_index.values())
+        series = hilbert.series_coefficients((), weights, max(by_index, default=0))
+        encoded = _encode_run_length(weights)
+        c1 = classes.multiplicity(1)
+        for index, entries in by_index.items():
+            for i in _set_bits(entries):
+                ds = universe.entries[i]
+                c = len(ds)
+                enc = ",".join(map(str, ds)) + "/" + encoded
+                if _h0(series, ds, index) < 1:
+                    cex.append({"family": enc, "check": "nonvanishing", "index": index, "h0": 0})
+                if not smooth >> i & 1:
+                    continue  # (b) and (c) do not apply
+                delta = universe.sums[i] - sum_a
+                if c1 < c:
+                    cex.append({"family": enc, "check": "c1_ge_c", "c1": c1, "codim": c})
+                elif c1 == c:
+                    ok = ds == (6,) * c and classes.classes == ((3, c), (2, c), (1, c))
+                    wits.append({"family": enc, "c1": c1, "is_expected_form": ok})
+                    if not ok:
+                        cex.append(
+                            {
+                                "family": enc,
+                                "check": "equality_form",
+                                "reason": "c1 = c outside the classified family",
+                            }
+                        )
+                if c1 <= -delta:
                     cex.append(
                         {
                             "family": enc,
-                            "check": "equality_form",
-                            "reason": "c1 = c outside the classified family",
+                            "check": "c1_gt_index",
+                            "c1": c1,
+                            "fano_index": -delta,
                         }
                     )
-            if c1 <= -delta:
-                cex.append(
-                    {
-                        "family": enc,
-                        "check": "c1_gt_index",
-                        "c1": c1,
-                        "fano_index": -delta,
-                    }
-                )
     return checked, cex, wits
 
 
@@ -538,6 +585,10 @@ def _pairwise_gcd_lcm(weights: tuple[int, ...]) -> int:
 
 def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
     spec, values, _ = _domain(claim, bounds, q)
+    # one entry (f) per degree f <= max_degree
+    universe = _degree_universe(1, bounds.max_degree, 1, 1, bounds.max_weight)
+    ladders = _Ladders(universe)
+    alive = universe.codim_le[1]
     checked = 0
     cex: list[dict] = []
     for weights in _tuples_with_first(first, values, spec.min_len, bounds.max_vars):
@@ -565,36 +616,39 @@ def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
         classes = WeightClasses.from_weights(weights)
         if not space_well_formed(classes):
             continue
+        by_index, _smooth = _geometric_families(ladders, classes, bounds.max_degree, alive)
+        checked += sum(entries.bit_count() for entries in by_index.values())
         sum_a = sum(weights)
         encoded = _encode_run_length(weights)
         # h0(O(h)) on X_f is P[h] - P[h - f], P the series of 1/prod(1 - t^a)
         series = hilbert.series_coefficients((), weights, bounds.max_degree)
-        for f, index in _hypersurface_indices(classes, bounds.max_degree).items():
-            checked += 1
-            enc = f"{f}/{encoded}"
-            delta = f - sum_a
-            start = (max(delta, 0) // index + 1) * index  # least multiple > max(delta, 0)
-            for h_prime in range(start, bounds.max_degree + 1, index):
-                if series[h_prime] - (series[h_prime - f] if h_prime >= f else 0) < 1:
-                    cex.append({"part": "b", "family": enc, "h_prime": h_prime, "h0": 0})
-            if delta % index == 0:
-                family = WciFamily((f,), classes)
-                n = len(weights) - 1
-                for m in range(n, n + 3):
-                    ell = delta + m * index
-                    if ell < 1:
-                        continue  # trivial or empty system; nothing to base-lock
-                    components = _base_locus(family, ell)
-                    if components:
-                        cex.append(
-                            {
-                                "part": "c",
-                                "family": enc,
-                                "ell": ell,
-                                "m": m,
-                                "components": [list(comp.values) for comp in components],
-                            }
-                        )
+        for index, entries in by_index.items():
+            for i in _set_bits(entries):
+                f = universe.sums[i]
+                enc = f"{f}/{encoded}"
+                delta = f - sum_a
+                start = (max(delta, 0) // index + 1) * index  # least multiple > max(delta, 0)
+                for h_prime in range(start, bounds.max_degree + 1, index):
+                    if series[h_prime] - (series[h_prime - f] if h_prime >= f else 0) < 1:
+                        cex.append({"part": "b", "family": enc, "h_prime": h_prime, "h0": 0})
+                if delta % index == 0:
+                    family = WciFamily((f,), classes)
+                    n = len(weights) - 1
+                    for m in range(n, n + 3):
+                        ell = delta + m * index
+                        if ell < 1:
+                            continue  # trivial or empty system; nothing to base-lock
+                        components = _base_locus(family, ell)
+                        if components:
+                            cex.append(
+                                {
+                                    "part": "c",
+                                    "family": enc,
+                                    "ell": ell,
+                                    "m": m,
+                                    "components": [list(comp.values) for comp in components],
+                                }
+                            )
     return checked, cex, []
 
 

@@ -17,17 +17,13 @@ A caller that tests many degree multisets on one weight tuple (the verify
 partitions) builds a degree table, `_degree_table(weights, D)`: the rows
 without a unit weight, each with two Python-int bitmasks over the degrees
 0..D, R_W (representable over W) and B_W (exactly one monomial over the
-stratum's coordinates).  `_singular_strata` takes it as an optional argument,
-and `_rep`, `_excess` and `_stratum_outcome` a row's masks; they test bits
-where they would otherwise ask arith, so the rules are written once.
-`_hypersurface_indices` reads well-formedness, quasi-smoothness and the index
-off the table for every degree f <= D at once.  At codim >= 2 the
-nonvanishing claim (`verify._stratum_masks`) reads the same rows as masks
-over every degree multiset: a row rules out well-formedness for the
-multisets with few degrees in R_W, and passes Q1 for those with at least
-min(c, k); it calls `_stratum_outcome` with the row's masks only where Q1
-fails.  One-shot calls build no degree table (a 12-value weight tuple has
-4,095 rows), and `space_well_formed` reads only the gcds of the values.
+stratum's coordinates).  The family claims read those rows as masks over
+every degree multiset at once (`verify._stratum_masks` and
+`verify._index_masks`); where Q1 fails at codim >= 2 they call
+`_stratum_outcome` with the row's R_W, which `_rep` and the Q2 availability
+test read as bits instead of asking arith, so the rules are written once.
+One-shot calls build no degree table (a 12-value weight tuple has 4,095
+rows), and `space_well_formed` reads only the gcds of the values.
 """
 
 from __future__ import annotations
@@ -242,28 +238,22 @@ def _degree_table(weights: WeightClasses, upto: int) -> tuple:
     return tuple(rows)
 
 
-def _rep(degrees: tuple[int, ...], W: tuple[int, ...], masks) -> list[int]:
+def _rep(degrees: tuple[int, ...], W: tuple[int, ...], R: int | None) -> list[int]:
     """The degrees representable over W, in order: those that cut its stratum.
-    masks is a degree-table row's (R, B), or empty to ask arith."""
-    if masks:
-        R = masks[0]
+    R is a degree-table row's R_W, or None to ask arith."""
+    if R is not None:
         return [d for d in degrees if R >> d & 1]
     return [d for d in degrees if _repr_over(d, W)]
 
 
-def _excess(rep: list[int], k: int, coords: tuple[int, ...], masks) -> int | None:
+def _excess(rep: list[int], k: int, coords: tuple[int, ...]) -> int | None:
     """Dimension excess (k - 1) - #representable degrees of the maximal stratum
     with k coordinates of weights coords, or None when a general member misses
-    it: too many degrees cut it, or one restricts to a single monomial.  masks
-    as in `_rep`."""
+    it: too many degrees cut it, or one restricts to a single monomial."""
     excess = (k - 1) - len(rep)
-    if excess < 0:
+    if excess < 0 or any(monomial_count(d, coords) == 1 for d in rep):
         return None
-    if masks:
-        single = any(masks[1] >> d & 1 for d in rep)
-    else:
-        single = any(monomial_count(d, coords) == 1 for d in rep)
-    return None if single else excess
+    return excess
 
 
 # -- Q2 selection search --------------------------------------------------------
@@ -448,12 +438,12 @@ def _leftover(degrees: tuple[int, ...], taken) -> list[int]:
     return left
 
 
-def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool, masks):
+def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool, R):
     """Classify one distinct-value stratum (k coordinates; outside classes of
-    values outside and multiplicities mults) as Q1 / Q2 / FAIL; masks as in
+    values outside and multiplicities mults) as Q1 / Q2 / FAIL; R as in
     `_rep`."""
     rho = min(len(degrees), k)
-    rep = _rep(degrees, W, masks)
+    rep = _rep(degrees, W, R)
     if len(rep) >= rho:
         return "Q1", ({"degrees": rep[:rho]} if detailed else {})
 
@@ -461,7 +451,7 @@ def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool, masks):
         """The outside classes v with d - v >= 0 representable over W."""
         mask = 0
         for b, v in enumerate(outside):
-            if d >= v and (masks[0] >> d - v & 1 if masks else _repr_over(d - v, W)):
+            if d >= v and (R >> d - v & 1 if R is not None else _repr_over(d - v, W)):
                 mask |= 1 << b
         return mask
 
@@ -533,7 +523,7 @@ def _qs_walk(degrees, weights: WeightClasses, detailed: bool):
         raise DomainError("quasi-smoothness undefined for a linear cone")
     rows = _strata(weights) if degrees else ()
     return (
-        (W, k) + _stratum_outcome(degrees, W, k, outside, mults, detailed, ())
+        (W, k) + _stratum_outcome(degrees, W, k, outside, mults, detailed, None)
         for W, k, _g, _coords, outside, mults in rows
         if detailed or W[0] != 1
     )
@@ -547,27 +537,22 @@ def quasi_smooth(family: WciFamily) -> QsReport:
     return QsReport(all(s.outcome != "FAIL" for s in strata), strata)
 
 
-def _qs_verdict(degrees, weights: WeightClasses) -> bool:
-    """Verdict-only quasi-smoothness: stops at the first FAIL."""
-    return all(row[2] != "FAIL" for row in _qs_walk(degrees, weights, False))
-
-
 def is_quasi_smooth(family: WciFamily) -> bool:
     """Verdict-only fast path of quasi_smooth: stops at the first FAIL."""
-    return _qs_verdict(family.degrees, family.weights)
+    return all(row[2] != "FAIL" for row in _qs_walk(family.degrees, family.weights, False))
 
 
 # -- the singular-stratum walk ----------------------------------------------------
 
 
-def _singular_strata(degrees, weights: WeightClasses, table=None):
+def _singular_strata(degrees, weights: WeightClasses):
     """Rows (W, gcd, excess, condition (i) holds) per value subset W with gcd > 1,
-    lex order, reading the degree table when one is given; excess as in
-    _excess, condition (i) that at least k degrees are divisible by the gcd."""
-    for W, k, g, coords, _outside, _mults, *masks in _strata(weights) if table is None else table:
+    lex order; excess as in _excess, condition (i) that at least k degrees are
+    divisible by the gcd."""
+    for W, k, g, coords, _outside, _mults in _strata(weights):
         if g > 1:
             cond_i = sum(1 for d in degrees if d % g == 0) >= k
-            yield W, g, _excess(_rep(degrees, W, masks), k, coords, masks), cond_i
+            yield W, g, _excess(_rep(degrees, W, None), k, coords), cond_i
 
 
 def _meets_in_codim_below_2(excess: int | None, dim: int) -> bool:
@@ -581,7 +566,7 @@ def _well_formed(degrees, weights: WeightClasses) -> bool:
     dim = weights.total - 1 - len(degrees)
     for W, k, g, coords, _outside, _mults in _strata(weights):
         if g > 1 and k > dim - 1:  # the excess is at most k - 1
-            excess = _excess(_rep(degrees, W, ()), k, coords, ())
+            excess = _excess(_rep(degrees, W, None), k, coords)
             if _meets_in_codim_below_2(excess, dim):
                 return False
     return True
@@ -594,49 +579,6 @@ def _index(rows) -> int:
 
 def _smooth(rows) -> bool:
     return all(excess is None for _W, _g, excess, _cond_i in rows)
-
-
-def _hypersurface_indices(weights: WeightClasses, upto: int) -> dict[int, int]:
-    """{f: index} for every degree 1 <= f <= upto, ascending, at which X_f in
-    P(weights) is not a linear cone, is well formed and is quasi-smooth.  The
-    ambient space is not checked.
-
-    The rules of `_well_formed`, `_qs_verdict` and `_index` at codim 1,
-    read off the degree table for every f at once (Iano-Fletcher 2000, §6 and
-    Thm 8.1).  On a stratum with k coordinates, f outside R has excess k - 1;
-    f in R has excess k - 2, or misses the stratum when k < 2 or f is in B.
-    A stratum without a unit weight passes Q1 when f is in R, and Q2 when at
-    least k outside coordinates v (with multiplicity) have f - v in R."""
-    full = (1 << upto + 1) - 1
-    dim = weights.total - 2
-    fails = 1  # degree 0
-    for v in weights.values():
-        fails |= 1 << v  # linear cones
-    contributors: dict[int, int] = {}  # gcd -> the f whose index it divides
-    for _W, k, g, _coords, outside, mults, R, B in _degree_table(weights, upto):
-        ge = [full] + [0] * k  # ge[j]: the f with j or more available coordinates
-        for u, m in zip(outside, mults):
-            hit = R << u
-            for j in range(k, 0, -1):
-                ge[j] |= hit & ge[max(j - m, 0)]
-        fails |= full & ~(R | ge[k])  # neither Q1 nor Q2
-        if g == 1:
-            continue
-        if k > dim - 1:  # excess k - 1 leaves codimension < 2
-            fails |= full & ~R
-        if k >= 2 and k > dim:  # so does excess k - 2
-            fails |= R & ~B
-        # Met strata fail condition (i) (k degrees divisible by g) unless k = 1
-        # and g | f, i.e. f in R; with k = 1 the met f are those outside R.
-        contributors[g] = contributors.get(g, 0) | (full & ~(R if k == 1 else B))
-    passing = full & ~fails
-    out = {}
-    while passing:
-        low = passing & -passing
-        f = low.bit_length() - 1
-        out[f] = math.lcm(*(g for g, mask in contributors.items() if mask >> f & 1))
-        passing ^= low
-    return out
 
 
 def wci_well_formed(family: WciFamily) -> bool:
@@ -659,7 +601,7 @@ def stratum_meets(family: WciFamily, value_subset) -> bool:
         raise UsageError("value subset must be nonempty")
     for row_W, k, _g, coords, _outside, _mults in _strata(family.weights):
         if row_W == W:
-            return _excess(_rep(family.degrees, W, ()), k, coords, ()) is not None
+            return _excess(_rep(family.degrees, W, None), k, coords) is not None
     unknown = min(set(W) - set(family.weights.values()))
     raise UsageError(f"value {unknown} is not a weight of this family")
 
@@ -826,8 +768,8 @@ def _base_locus(family: WciFamily, ell: int) -> list[BaseLocusComponent]:
     hits = []
     for W, k, _g, coords, _outside, _mults in _strata(family.weights):
         if not _repr_over(ell, W):
-            rep = _rep(family.degrees, W, ())
-            if _excess(rep, k, coords, ()) is not None:
+            rep = _rep(family.degrees, W, None)
+            if _excess(rep, k, coords) is not None:
                 hits.append((W, rep))
     components = []
     for W, rep in hits:

@@ -194,9 +194,9 @@ def test_hypersurface_part_b_covers_every_multiple_of_the_index(monkeypatch):
 
 
 def test_nonvanishing_counterexamples_carry_the_index(monkeypatch):
-    # With h0 planted at 0, every checked family, and only those, fails the
-    # nonvanishing check at its own fundamental index.
-    monkeypatch.setattr(hilbert, "h0", lambda family, k: 0)
+    # With every section count planted at 0, every checked family, and only
+    # those, fails the nonvanishing check at its own fundamental index.
+    monkeypatch.setattr(hilbert, "series_coefficients", lambda ds, ws, upto: [0] * (upto + 1))
     window = (2, 4, 6, 12)
     expected = [
         (oracles._encode_pair(ds, ws), oracles.fundamental_index(ds, ws))

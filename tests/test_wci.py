@@ -432,8 +432,18 @@ def _small_weight_tuples(max_vars, max_weight):
             yield WeightClasses.from_weights(ws)
 
 
+def _mask_indices(ladders, weights, upto, alive):
+    """{entry: index} and the smooth entries of the geometric families among
+    alive, from the family claims' masks."""
+    by_index, smooth = verify._geometric_families(ladders, weights, upto, alive)
+    return {i: ix for ix, entries in by_index.items() for i in verify._set_bits(entries)}, smooth
+
+
 def test_hypersurface_masks_match_per_family_predicates():
+    # The engine at codim 1, over the hypersurface claim's universe.
     upto = 40
+    universe = verify._degree_universe(1, upto, 1, 1, 10)
+    ladders = verify._Ladders(universe)
     families = passing = 0
     for weights in _small_weight_tuples(5, 10):
         expected = {}
@@ -444,7 +454,8 @@ def test_hypersurface_masks_match_per_family_predicates():
             degrees = (f,)
             if wci._well_formed(degrees, weights) and is_quasi_smooth(WciFamily.of(degrees, weights)):
                 expected[f] = wci._index(wci._singular_strata(degrees, weights))
-        got = wci._hypersurface_indices(weights, upto)
+        index, _smooth = _mask_indices(ladders, weights, upto, universe.codim_le[1])
+        got = {universe.entries[i][0]: ix for i, ix in sorted(index.items())}
         assert list(got.items()) == list(expected.items()), weights
         passing += len(got)
     assert families > 100_000 and passing > 5_000
@@ -463,25 +474,31 @@ def test_nonvanishing_masks_match_per_family_predicates():
         for v in weights.values():
             alive &= universe.without[v]
         table = wci._degree_table(weights, upto)
-        well_formed, starved, pending = verify._stratum_masks(ladders, weights, table, alive)
+        well_formed, failed, pending = verify._stratum_masks(ladders, weights, table, alive)
         kept = verify._geometric_entries(ladders, weights, table, alive)
-        q1_everywhere = well_formed
+        index, smooth = _mask_indices(ladders, weights, upto, alive)
+        assert sorted(index) == list(verify._set_bits(kept)) and smooth & ~kept == 0
+        no_search = well_formed & ~failed
         for (W, k, _g, _coords, outside, mults, _R, _B), failing in pending:
-            q1_everywhere &= ~failing
-            for i in verify._set_bits(failing & well_formed & ~starved):
-                outcome = wci._stratum_outcome(universe.entries[i], W, k, outside, mults, False, ())
+            no_search &= ~failing
+            for i in verify._set_bits(failing):
+                assert len(universe.entries[i]) >= 2, (universe.entries[i], weights, W)
+            for i in verify._set_bits(failing & well_formed & ~failed):
+                outcome = wci._stratum_outcome(universe.entries[i], W, k, outside, mults, False, None)
                 assert outcome[0] != "Q1", (universe.entries[i], weights, W)
-        by_starved += (well_formed & starved).bit_count()
-        by_q1 += q1_everywhere.bit_count()
+        by_starved += (well_formed & failed).bit_count()
+        by_q1 += no_search.bit_count()
         for i in verify._set_bits(alive):
             degrees = universe.entries[i]
             wf = wci._well_formed(degrees, weights)
-            qs = wci._qs_verdict(degrees, weights)
+            qs = is_quasi_smooth(WciFamily.of(degrees, weights))
             assert (well_formed >> i & 1, kept >> i & 1) == (wf, wf and qs), (degrees, weights)
-            assert not (qs and starved >> i & 1), (degrees, weights)
-            assert not (wf and not qs and q1_everywhere >> i & 1), (degrees, weights)
+            assert not (qs and failed >> i & 1), (degrees, weights)
+            assert not (wf and not qs and no_search >> i & 1), (degrees, weights)
             if wf and qs:
                 rows = list(wci._singular_strata(degrees, weights))
+                assert index[i] == wci._index(rows), (degrees, weights)
+                assert smooth >> i & 1 == wci._smooth(rows), (degrees, weights)
                 verdicts.add((wf, qs, wci._smooth(rows), wci._index(rows) > 1))
             else:
                 verdicts.add((wf, qs))

@@ -36,8 +36,8 @@ MUTANTS = [
         "src/wcikit/verify.py",
         "        if not space_well_formed(classes):\n"
         "            continue\n"
-        "        table = _degree_table(classes, bounds.max_degree)\n",
-        "        table = _degree_table(classes, bounds.max_degree)\n",
+        "        sum_a = sum(weights)\n",
+        "        sum_a = sum(weights)\n",
         [
             "tests/test_verify.py::test_nonvanishing_counterexamples_carry_the_index",
             "tests/test_verify.py::test_family_claims_match_naive_walk",
@@ -131,17 +131,28 @@ MUTANTS = [
     ),
     (
         "hypersurface well-formedness threshold k > dim",
-        "src/wcikit/wci.py",
-        "if k > dim - 1:  # excess k - 1 leaves codimension < 2",
-        "if k > dim:  # excess k - 1 leaves codimension < 2",
+        "src/wcikit/verify.py",
+        "if g > 1 and k > dim - 1:",
+        "if g > 1 and k > dim:",
         ["tests/test_wci.py::test_hypersurface_masks_match_per_family_predicates"],
     ),
     (
         "Q2 ladder read at ge[k - 1]",
-        "src/wcikit/wci.py",
-        "fails |= full & ~(R | ge[k])",
-        "fails |= full & ~(R | ge[k - 1])",
+        "src/wcikit/verify.py",
+        "q2 &= ~avail[k]",
+        "q2 &= ~avail[k - 1]",
         ["tests/test_wci.py::test_hypersurface_masks_match_per_family_predicates"],
+    ),
+    (
+        "condition (i) read at [k - 1]",
+        "src/wcikit/verify.py",
+        "_closure(1, g, ladders.full)), k)",
+        "_closure(1, g, ladders.full)), k - 1)",
+        [
+            "tests/test_wci.py::test_hypersurface_masks_match_per_family_predicates",
+            "tests/test_wci.py::test_nonvanishing_masks_match_per_family_predicates",
+            "tests/test_verify.py::test_family_claims_match_naive_walk",
+        ],
     ),
     (
         "single-monomial mask B_W marks the degrees with no monomial",
