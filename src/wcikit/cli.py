@@ -136,8 +136,6 @@ def _cmd_frobenius(args) -> int:
 
 def _cmd_hilbert(args) -> int:
     family = WciFamily.parse(args.family)
-    if args.upto < 0:
-        raise UsageError("k must be nonnegative")
     coeffs, formal = hilbert.series(family, args.upto)
     if args.json:
         _emit_json(

@@ -7,9 +7,13 @@ report is sorted by canonical encoding, so output is byte-identical for any
 worker count.  `enumerate_instances` walks the same weight-tuple domain and
 alone takes a FamilyFilter, which selects the families it lists.
 
-Regularity is decided wholesale.  Each degree window has one universe whose
-multisets, sorted by (sum, ds), are the bit positions of Python-int bitsets.
-A weight tuple's regular multisets are the AND of its requirement bitsets;
+Every claim counts degrees with one tool.  Each degree window has one
+universe whose multisets, sorted by (sum, ds), are the bit positions of
+Python-int bitsets, and the count ladder of a degree mask M (`_ladder`) holds,
+for each j, the entries with at least j degrees in M.
+
+Regularity is decided wholesale.  A weight tuple's regular multisets are one
+AND of count ladders, those of the multiples of each g dividing a weight;
 with cones and codims over the cap masked out, a popcount is the number
 checked, and only set bits below the largest amplitude bound (a prefix) are
 visited one by one.  The three regular-pair claims share that worker,
@@ -19,15 +23,15 @@ delta <= 0 is a prefix too.
 
 The two family claims build one degree table (`wci._degree_table`) per
 weight tuple and read it with one mask engine, over a degree universe: the
-hypersurface claim's has the codim-1 multisets (f) alone.  Per table row, a
-count ladder (the entries with at least j degrees in a degree mask, memoized
-per partition) gives the entries that fail well-formedness and those that
-fail Q1; at codim 1 a count of the outside coordinates that reach R_W decides
-Q2, and at codim >= 2 the degrees that no outside class reaches rule out the
-entries that hold one.  The exact Q2 search runs only on the rows where a
-survivor of codim >= 2 fails Q1.  The index and smoothness of the survivors
-are masks too, and section counts come from one series per weight tuple, so
-a WciFamily is built only for a base locus.
+hypersurface claim's has the codim-1 multisets (f) alone.  Per table row,
+count ladders (memoized per partition) give the entries that fail
+well-formedness and those that fail Q1; at codim 1 a count of the outside
+coordinates that reach R_W decides Q2, and at codim >= 2 the degrees that no
+outside class reaches rule out the entries that hold one.  The exact Q2
+search runs only on the rows where a survivor of codim >= 2 fails Q1.  The
+index and smoothness of the survivors are masks too, condition (i) read off
+the same ladder of multiples as regularity, and section counts come from one
+series per weight tuple, so a WciFamily is built only for a base locus.
 """
 
 from __future__ import annotations
@@ -180,62 +184,67 @@ class _Universe(NamedTuple):
 
     entries: tuple[tuple[int, ...], ...]  # sorted by (sum, ds)
     sums: list[int]
-    groups: dict[int, int]  # divisibility key -> bitset of its entries
+    at: list[dict[int, int]]  # [p][d]: entries whose p-th largest degree is d
     without: list[int]  # [v]: entries with no degree equal to v, v <= max_weight
     codim_le: list[int]  # [c]: entries with codim <= c
-    divisors: list[tuple[int, ...]]  # [a]: the g in 2..max_weight dividing a
+    divisors: list[tuple[int, ...]]  # [a]: the g >= 2 dividing a, a <= max_weight
 
 
 @lru_cache(maxsize=16)
 def _degree_universe(
     max_codim: int, max_degree: int, min_degree: int, divisor: int, max_weight: int
 ) -> _Universe:
-    """Every degree multiset of a window as one bit position, sorted by (sum, ds).
-
-    A multiset's divisibility key, the sum of its degrees' packed codes, holds
-    for each g in 2..max_weight its count of degrees divisible by g in a field
-    of max_codim.bit_length() bits.  Built lazily, never before a pool forks.
-    """
-    top, width = max(max_degree, max_weight), max_codim.bit_length()
-    divisors = [tuple(g for g in range(2, max_weight + 1) if a % g == 0) for a in range(top + 1)]
-    code = [sum(1 << width * (g - 2) for g in divs) for divs in divisors]
+    """Every degree multiset of a window as one bit position, sorted by (sum, ds),
+    with its per-position tables, which every count ladder (`_ladder`) reads.
+    Built lazily, never before a pool forks."""
     values = [d for d in range(max_degree, min_degree - 1, -1) if d % divisor == 0]
     sizes = range(1, max_codim + 1)
     pairs = sorted((sum(ds), ds) for c in sizes for ds in combinations_with_replacement(values, c))
-    groups: dict[int, int] = {}
-    holding = [0] * (top + 1)
+    at: list[dict[int, int]] = [{} for _ in sizes]
     codim_le = [0] * (max_codim + 1)
     for i, (_, ds) in enumerate(pairs):
-        bit = 1 << i
-        key = sum(map(code.__getitem__, ds))
-        groups[key] = groups.get(key, 0) | bit
-        for v in set(ds):
-            holding[v] |= bit
-        codim_le[len(ds)] |= bit
-    for c in range(1, max_codim + 1):
+        for at_p, d in zip(at, ds):
+            at_p[d] = at_p.get(d, 0) | 1 << i
+        codim_le[len(ds)] |= 1 << i
+    for c in sizes:
         codim_le[c] |= codim_le[c - 1]
-    without = [codim_le[max_codim] ^ has for has in holding[: max_weight + 1]]
+    weights = range(max_weight + 1)
+    without = [codim_le[-1]] * (max_weight + 1)
+    for at_p in at:
+        for v in weights:
+            without[v] &= ~at_p.get(v, 0)
+    divisors = [tuple(g for g in weights[2:] if a % g == 0) for a in weights]
     return _Universe(
-        tuple(ds for _, ds in pairs), [s for s, _ in pairs], groups, without, codim_le, divisors
+        tuple(ds for _, ds in pairs), [s for s, _ in pairs], at, without, codim_le, divisors
     )
 
 
+def _ladder(universe: _Universe, M: int) -> list[int]:
+    """The count ladder of a degree bitmask M: [j], j = 0..max_codim, holds the
+    entries with at least j degrees, counted with multiplicity, in M."""
+    max_codim = len(universe.at)
+    ge = [universe.codim_le[-1]] + [0] * max_codim
+    for at_p in universe.at:  # add one degree position at a time
+        inside = 0
+        for d, entries in at_p.items():
+            if M >> d & 1:
+                inside |= entries
+        for j in range(max_codim, 0, -1):
+            ge[j] |= ge[j - 1] & inside
+    return ge
+
+
 # (universe key, g) -> its `_requirement_bits`, built when g is first required.
-_match_cache: dict[tuple, tuple[int, ...]] = {}
+_match_cache: dict[tuple, list[int]] = {}
 
 
-def _requirement_bits(universe_key: tuple, g: int) -> tuple[int, ...]:
+def _requirement_bits(universe_key: tuple, g: int) -> list[int]:
     """bits[g, k] for k = 0..max_codim: the entries with at least k degrees
-    divisible by g, from each key group's count of them."""
+    divisible by g, the ladder of the multiples of g."""
     bits = _match_cache.get((universe_key, g))
     if bits is None:
-        width = universe_key[0].bit_length()
-        ladder = [0] * (universe_key[0] + 1)
-        for key, group in _degree_universe(*universe_key).groups.items():
-            ladder[(key >> width * (g - 2)) & ((1 << width) - 1)] |= group  # exactly k
-        for k in reversed(range(len(ladder) - 1)):
-            ladder[k] |= ladder[k + 1]  # at least k
-        bits = _match_cache[universe_key, g] = tuple(ladder)
+        multiples = _closure(1, g, (1 << universe_key[1] + 1) - 1)  # 0..max_degree
+        bits = _match_cache[universe_key, g] = _ladder(_degree_universe(*universe_key), multiples)
     return bits
 
 
@@ -364,39 +373,24 @@ def _part_regular(claim: str, bounds: SearchBounds, q, first: int):
 
 
 class _Ladders:
-    """Count ladders over one universe's entries, memoized per degree bitmask.
+    """`_ladder` over one universe, memoized per degree bitmask M.
 
-    `ladders(M)[j]`, j = 0..max_codim, holds the entries with at least j
-    degrees, counted with multiplicity, in M; `[1]` is the entries holding some
-    degree of M.  Each family-claim partition makes one: the masks M it asks
-    for (R_W, its shifts and its single-monomial part, the multiples of a gcd,
-    the starved degrees) recur across its weight tuples.
+    Each family-claim partition makes one: the masks M it asks for (R_W, its
+    shifts and its single-monomial part, the multiples of a gcd, the starved
+    degrees) recur across its weight tuples.
     """
 
     def __init__(self, universe: _Universe):
         self.universe = universe
-        self.max_codim = len(universe.codim_le) - 1
-        # at[p][d]: the entries whose p-th largest degree is d
-        self.at: list[dict[int, int]] = [{} for _ in range(self.max_codim)]
-        for i, ds in enumerate(universe.entries):
-            for at_p, d in zip(self.at, ds):
-                at_p[d] = at_p.get(d, 0) | 1 << i
+        self.max_codim = len(universe.at)
         # every degree of the window is the largest of some entry
-        self.full = (1 << max(self.at[0]) + 1) - 1
+        self.full = (1 << max(universe.at[0]) + 1) - 1
         self.memo: dict[int, list[int]] = {}
 
     def __call__(self, M: int) -> list[int]:
         ge = self.memo.get(M)
         if ge is None:
-            ge = [self.universe.codim_le[-1]] + [0] * self.max_codim
-            for at_p in self.at:  # add one degree position at a time
-                inside = 0
-                for d, entries in at_p.items():
-                    if M >> d & 1:
-                        inside |= entries
-                for j in range(self.max_codim, 0, -1):
-                    ge[j] |= ge[j - 1] & inside
-            self.memo[M] = ge
+            ge = self.memo[M] = _ladder(self.universe, M)
         return ge
 
 
@@ -409,7 +403,7 @@ def _stratum_masks(ladders: _Ladders, weights: WeightClasses, table, alive: int)
     """(well_formed, failed, pending) for the entries in alive, as families
     over weights, from the rows of their degree table.
 
-    Each is exact: the rules of `_excess` / `_meets_in_codim_below_2` and of
+    Each is exact: the rules of `_excess` / `_well_formed` and of
     `_stratum_outcome` read as masks, where a codim-c entry ds has
     dim = n - 1 - c and rep the degrees (with multiplicity) in R_W.
     - well_formed: the entries no row with g > 1 and k > dim - 1 rules out; a

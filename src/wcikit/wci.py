@@ -246,10 +246,11 @@ def _rep(degrees: tuple[int, ...], W: tuple[int, ...], R: int | None) -> list[in
     return [d for d in degrees if _repr_over(d, W)]
 
 
-def _excess(rep: list[int], k: int, coords: tuple[int, ...]) -> int | None:
-    """Dimension excess (k - 1) - #representable degrees of the maximal stratum
-    with k coordinates of weights coords, or None when a general member misses
-    it: too many degrees cut it, or one restricts to a single monomial."""
+def _excess(degrees, W: tuple[int, ...], k: int, coords: tuple[int, ...]) -> int | None:
+    """Dimension excess (k - 1) - #degrees representable over W of the maximal
+    stratum with k coordinates of weights coords, or None when a general member
+    misses it: too many degrees cut it, or one restricts to a single monomial."""
+    rep = _rep(degrees, W, None)
     excess = (k - 1) - len(rep)
     if excess < 0 or any(monomial_count(d, coords) == 1 for d in rep):
         return None
@@ -552,24 +553,14 @@ def _singular_strata(degrees, weights: WeightClasses):
     for W, k, g, coords, _outside, _mults in _strata(weights):
         if g > 1:
             cond_i = sum(1 for d in degrees if d % g == 0) >= k
-            yield W, g, _excess(_rep(degrees, W, None), k, coords), cond_i
+            yield W, g, _excess(degrees, W, k, coords), cond_i
 
 
-def _meets_in_codim_below_2(excess: int | None, dim: int) -> bool:
-    """Does a general member of dimension dim meet a stratum of this excess in
-    codimension < 2?  Well-formedness asks that it meets none with gcd > 1."""
-    return excess is not None and dim - excess < 2
-
-
-def _well_formed(degrees, weights: WeightClasses) -> bool:
-    """Well-formedness of the family; the ambient space is not checked."""
-    dim = weights.total - 1 - len(degrees)
-    for W, k, g, coords, _outside, _mults in _strata(weights):
-        if g > 1 and k > dim - 1:  # the excess is at most k - 1
-            excess = _excess(_rep(degrees, W, None), k, coords)
-            if _meets_in_codim_below_2(excess, dim):
-                return False
-    return True
+def _well_formed(rows, dim: int) -> bool:
+    """Well-formedness of a family of dimension dim from its `_singular_strata`
+    rows: a general member meets no stratum with gcd > 1 in codimension < 2.
+    The ambient space is not checked."""
+    return not any(excess is not None and dim - excess < 2 for _W, _g, excess, _i in rows)
 
 
 def _index(rows) -> int:
@@ -586,7 +577,7 @@ def wci_well_formed(family: WciFamily) -> bool:
     at least 2; empty intersections pass vacuously."""
     if not space_well_formed(family.weights):
         raise DomainError("ambient space is not well formed")
-    return _well_formed(family.degrees, family.weights)
+    return _well_formed(_singular_strata(family.degrees, family.weights), family.dim)
 
 
 def stratum_meets(family: WciFamily, value_subset) -> bool:
@@ -601,7 +592,7 @@ def stratum_meets(family: WciFamily, value_subset) -> bool:
         raise UsageError("value subset must be nonempty")
     for row_W, k, _g, coords, _outside, _mults in _strata(family.weights):
         if row_W == W:
-            return _excess(_rep(family.degrees, W, None), k, coords) is not None
+            return _excess(family.degrees, W, k, coords) is not None
     unknown = min(set(W) - set(family.weights.values()))
     raise UsageError(f"value {unknown} is not a weight of this family")
 
@@ -633,7 +624,7 @@ def _annotate(family: WciFamily, qs: bool | None) -> Geometry:
     cone = is_linear_cone(family)
     space_wf = family.nvars >= 2 and space_well_formed(family.weights)
     rows = list(_singular_strata(family.degrees, family.weights)) if space_wf else []
-    wf = space_wf and not any(_meets_in_codim_below_2(row[2], family.dim) for row in rows)
+    wf = space_wf and _well_formed(rows, family.dim)
     if cone or not wf or not qs:
         return Geometry(cone, space_wf, wf, qs, None, None, None)
     kind = None
@@ -767,16 +758,15 @@ def _base_locus(family: WciFamily, ell: int) -> list[BaseLocusComponent]:
     """`base_locus` for a family already known to be geometric and ell >= 1."""
     hits = []
     for W, k, _g, coords, _outside, _mults in _strata(family.weights):
-        if not _repr_over(ell, W):
-            rep = _rep(family.degrees, W, None)
-            if _excess(rep, k, coords) is not None:
-                hits.append((W, rep))
+        if not _repr_over(ell, W) and _excess(family.degrees, W, k, coords) is not None:
+            hits.append(W)
     components = []
-    for W, rep in hits:
+    for W in hits:
         sw = set(W)
-        if any(sw < set(W2) for W2, _rep in hits):
+        if any(sw < set(W2) for W2 in hits):
             continue
         classes = WeightClasses(tuple((v, m) for v, m in family.weights.classes if v in sw))
+        rep = _rep(family.degrees, W, None)
         components.append(BaseLocusComponent(W, WciFamily.of(rep, classes)))
     return components
 

@@ -288,6 +288,19 @@ def test_regular_mask_matches_naive_scan(claim, window, q):
     assert verify._regular_mask(universe_key, over) == 0
     assert not any(oracles.h_regular(ds, over, 1) for ds in entries)
 
+    def chosen(mask):
+        return {entries[i] for i in verify._set_bits(mask)}
+
+    max_weight = window[2]
+    for v in range(max_weight + 1):
+        assert chosen(universe.without[v]) == {ds for ds in entries if v not in ds}, v
+    multiples = [{d for d in degrees if d % g == 0} for g in range(2, max_weight + 1)]
+    for M in multiples + [{2, 3, 6, 10, 11}]:  # the last is no set of multiples
+        ladder = verify._ladder(universe, sum(1 << d for d in M))
+        assert len(ladder) == max_codim + 1
+        for j, held in enumerate(ladder):
+            assert chosen(held) == {ds for ds in entries if sum(d in M for d in ds) >= j}, (M, j)
+
 
 def test_no_universe_built_before_the_pool_forks():
     verify._degree_universe.cache_clear()

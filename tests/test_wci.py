@@ -452,8 +452,11 @@ def test_hypersurface_masks_match_per_family_predicates():
                 continue
             families += 1
             degrees = (f,)
-            if wci._well_formed(degrees, weights) and is_quasi_smooth(WciFamily.of(degrees, weights)):
-                expected[f] = wci._index(wci._singular_strata(degrees, weights))
+            rows = list(wci._singular_strata(degrees, weights))
+            if wci._well_formed(rows, weights.total - 2) and is_quasi_smooth(
+                WciFamily.of(degrees, weights)
+            ):
+                expected[f] = wci._index(rows)
         index, _smooth = _mask_indices(ladders, weights, upto, universe.codim_le[1])
         got = {universe.entries[i][0]: ix for i, ix in sorted(index.items())}
         assert list(got.items()) == list(expected.items()), weights
@@ -490,13 +493,13 @@ def test_nonvanishing_masks_match_per_family_predicates():
         by_q1 += no_search.bit_count()
         for i in verify._set_bits(alive):
             degrees = universe.entries[i]
-            wf = wci._well_formed(degrees, weights)
+            rows = list(wci._singular_strata(degrees, weights))
+            wf = wci._well_formed(rows, weights.total - 1 - len(degrees))
             qs = is_quasi_smooth(WciFamily.of(degrees, weights))
             assert (well_formed >> i & 1, kept >> i & 1) == (wf, wf and qs), (degrees, weights)
             assert not (qs and failed >> i & 1), (degrees, weights)
             assert not (wf and not qs and no_search >> i & 1), (degrees, weights)
             if wf and qs:
-                rows = list(wci._singular_strata(degrees, weights))
                 assert index[i] == wci._index(rows), (degrees, weights)
                 assert smooth >> i & 1 == wci._smooth(rows), (degrees, weights)
                 verdicts.add((wf, qs, wci._smooth(rows), wci._index(rows) > 1))

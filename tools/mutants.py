@@ -72,10 +72,24 @@ MUTANTS = [
         ],
     ),
     (
-        "requirement bits[g, k] built with >= k - 1",
+        "requirement bits read at [k - 1]",
         "src/wcikit/verify.py",
-        "= tuple(ladder)",
-        "= tuple(ladder[:1] + ladder[:-1])",
+        "mask &= bits[k] if",
+        "mask &= bits[k - 1] if",
+        ["tests/test_verify.py::test_regular_mask_matches_naive_scan"],
+    ),
+    (
+        "without[v] from the largest degree only",
+        "src/wcikit/verify.py",
+        "for at_p in at:",
+        "for at_p in at[:1]:",
+        ["tests/test_verify.py::test_regular_mask_matches_naive_scan"],
+    ),
+    (
+        "ladder counts a position twice",
+        "src/wcikit/verify.py",
+        "for j in range(max_codim, 0, -1):",
+        "for j in range(1, max_codim + 1):",
         ["tests/test_verify.py::test_regular_mask_matches_naive_scan"],
     ),
     (
