@@ -91,9 +91,15 @@ def _encode_run_length(values: tuple[int, ...]) -> str:
     return ",".join(parts)
 
 
+def encode_sides(degrees, weights_text: str) -> str:
+    """The canonical text of descending degrees, written in full, and weights
+    already run-length encoded (`_encode_run_length`)."""
+    return ",".join(map(str, degrees)) + "/" + weights_text
+
+
 def encode_pair(pair: Pair) -> str:
     """Canonical text form; round-trips with Pair.parse."""
-    return ",".join(map(str, pair.degrees)) + "/" + _encode_run_length(pair.weights)
+    return encode_sides(pair.degrees, _encode_run_length(pair.weights))
 
 
 # -- the calculus --------------------------------------------------------------

@@ -51,7 +51,7 @@ from typing import NamedTuple
 from . import hilbert
 from .arith import frobenius, is_prime
 from .errors import BoundsExceededError, UsageError
-from .pairs import Pair, _encode_run_length, is_regular
+from .pairs import Pair, _encode_run_length, encode_sides, is_regular
 from .wci import (
     WciFamily,
     WeightClasses,
@@ -188,16 +188,16 @@ class _Universe(NamedTuple):
     without: list[int]  # [v]: entries with no degree equal to v, v <= max_weight
     codim_le: list[int]  # [c]: entries with codim <= c
     divisors: list[tuple[int, ...]]  # [a]: the g >= 2 dividing a, a <= max_weight
+    full: int  # the degree mask of 0..max_degree
 
 
 @lru_cache(maxsize=16)
-def _degree_universe(
-    max_codim: int, max_degree: int, min_degree: int, divisor: int, max_weight: int
-) -> _Universe:
-    """Every degree multiset of a window as one bit position, sorted by (sum, ds),
-    with its per-position tables, which every count ladder (`_ladder`) reads.
-    Built lazily, never before a pool forks."""
-    values = [d for d in range(max_degree, min_degree - 1, -1) if d % divisor == 0]
+def _degree_universe(max_codim: int, max_degree: int, divisor: int, max_weight: int) -> _Universe:
+    """Every multiset of 1..max_codim degrees, multiples of divisor up to
+    max_degree, as one bit position, sorted by (sum, ds), with its per-position
+    tables, which every count ladder (`_ladder`) reads, and the degree mask
+    full.  Built lazily, never before a pool forks."""
+    values = _weight_values(max_degree, divisor=divisor)
     sizes = range(1, max_codim + 1)
     pairs = sorted((sum(ds), ds) for c in sizes for ds in combinations_with_replacement(values, c))
     at: list[dict[int, int]] = [{} for _ in sizes]
@@ -214,9 +214,9 @@ def _degree_universe(
         for v in weights:
             without[v] &= ~at_p.get(v, 0)
     divisors = [tuple(g for g in weights[2:] if a % g == 0) for a in weights]
-    return _Universe(
-        tuple(ds for _, ds in pairs), [s for s, _ in pairs], at, without, codim_le, divisors
-    )
+    entries = tuple(ds for _, ds in pairs)
+    full = (1 << max_degree + 1) - 1
+    return _Universe(entries, [s for s, _ in pairs], at, without, codim_le, divisors, full)
 
 
 def _ladder(universe: _Universe, M: int) -> list[int]:
@@ -243,8 +243,8 @@ def _requirement_bits(universe_key: tuple, g: int) -> list[int]:
     divisible by g, the ladder of the multiples of g."""
     bits = _match_cache.get((universe_key, g))
     if bits is None:
-        multiples = _closure(1, g, (1 << universe_key[1] + 1) - 1)  # 0..max_degree
-        bits = _match_cache[universe_key, g] = _ladder(_degree_universe(*universe_key), multiples)
+        universe = _degree_universe(*universe_key)
+        bits = _match_cache[universe_key, g] = _ladder(universe, _closure(1, g, universe.full))
     return bits
 
 
@@ -274,10 +274,6 @@ def _regular_mask(universe_key: tuple, weights: tuple[int, ...]) -> int:
 @lru_cache(maxsize=None)
 def _frobenius_cached(weights_sorted: tuple[int, ...]) -> int:
     return frobenius(list(weights_sorted))
-
-
-def _pair_encoding(degrees: tuple[int, ...], weights: tuple[int, ...]) -> str:
-    return Pair.of(degrees, weights).encode()
 
 
 def _entry_key(entry: dict) -> tuple[str, str]:
@@ -317,7 +313,7 @@ def _prop_equality(ds: tuple[int, ...], weights: tuple[int, ...], cex: list, wit
         return
     s = ds.count(6)
     ok = all(d in (6, 1) for d in ds) and Counter(weights) == Counter({2: s, 3: s})
-    enc = _pair_encoding(ds, weights)
+    enc = encode_sides(ds, _encode_run_length(weights))
     wits.append({"pair": enc, "s": s if ok else None, "matches_form": ok})
     if not ok:
         cex.append(
@@ -333,7 +329,7 @@ def _qdiv_equality(ds: tuple[int, ...], weights: tuple[int, ...], cex: list, wit
     """delta = cq is recorded with whether c equals the number of variables."""
     wits.append(
         {
-            "pair": _pair_encoding(ds, weights),
+            "pair": encode_sides(ds, _encode_run_length(weights)),
             "codim": len(ds),
             "nvars": len(weights),
             "c_equals_nvars": len(ds) == len(weights),
@@ -364,34 +360,21 @@ def _part_regular(claim: str, bounds: SearchBounds, q, first: int):
             delta = universe.sums[i] - sum_a
             bound = limits[len(ds)]
             if delta < bound:
-                cex.append(
-                    {"pair": _pair_encoding(ds, weights), "delta": delta, spec.bound_key: bound}
-                )
+                enc = encode_sides(ds, _encode_run_length(weights))
+                cex.append({"pair": enc, "delta": delta, spec.bound_key: bound})
             elif delta == bound and spec.on_equality is not None:
                 spec.on_equality(ds, weights, cex, wits)
     return checked, cex, wits
 
 
-class _Ladders:
-    """`_ladder` over one universe, memoized per degree bitmask M.
-
-    Each family-claim partition makes one: the masks M it asks for (R_W, its
-    shifts and its single-monomial part, the multiples of a gcd, the starved
-    degrees) recur across its weight tuples.
-    """
-
-    def __init__(self, universe: _Universe):
-        self.universe = universe
-        self.max_codim = len(universe.at)
-        # every degree of the window is the largest of some entry
-        self.full = (1 << max(universe.at[0]) + 1) - 1
-        self.memo: dict[int, list[int]] = {}
-
-    def __call__(self, M: int) -> list[int]:
-        ge = self.memo.get(M)
-        if ge is None:
-            ge = self.memo[M] = _ladder(self.universe, M)
-        return ge
+def _memo_ladder(universe: _Universe, ladders: dict[int, list[int]], M: int) -> list[int]:
+    """`_ladder(universe, M)`, kept in ladders, a family-claim partition's memo:
+    the masks M it asks for (R_W, its shifts and its single-monomial part, the
+    multiples of a gcd, the starved degrees) recur across its weight tuples."""
+    ge = ladders.get(M)
+    if ge is None:
+        ge = ladders[M] = _ladder(universe, M)
+    return ge
 
 
 def _at_least(ge: list[int], j: int) -> int:
@@ -399,7 +382,7 @@ def _at_least(ge: list[int], j: int) -> int:
     return ge[j] if j < len(ge) else 0
 
 
-def _stratum_masks(ladders: _Ladders, weights: WeightClasses, table, alive: int):
+def _stratum_masks(universe: _Universe, ladders: dict, weights: WeightClasses, table, alive: int):
     """(well_formed, failed, pending) for the entries in alive, as families
     over weights, from the rows of their degree table.
 
@@ -422,17 +405,17 @@ def _stratum_masks(ladders: _Ladders, weights: WeightClasses, table, alive: int)
     - pending: per row, the entries of codim >= 2 failing Q1 there, as
       (row, mask) pairs; the exact Q2 search decides them.
     """
-    universe, full = ladders.universe, ladders.full
+    full = universe.full
     layers = [
         (c, weights.total - 1 - c, alive & universe.codim_le[c] & ~universe.codim_le[c - 1])
-        for c in range(1, ladders.max_codim + 1)
+        for c in range(1, len(universe.at) + 1)
     ]
     layers = [layer for layer in layers if layer[2]]
     single = alive & universe.codim_le[1]
     well_formed, failed, pending = alive, 0, []
     for row in table:
         _W, k, g, _coords, outside, mults, R, _B = row
-        ge = ladders(R)
+        ge = _memo_ladder(universe, ladders, R)
         failing = 0
         for c, dim, layer in layers:
             if g > 1 and k > dim - 1:
@@ -443,7 +426,7 @@ def _stratum_masks(ladders: _Ladders, weights: WeightClasses, table, alive: int)
         if q2 and sum(mults) >= k:  # else too few outside coordinates
             avail = [q2] + [0] * k  # [j]: with j or more available coordinates
             for v, m in zip(outside, mults):
-                hit = ladders(R << v & full)[1]
+                hit = _memo_ladder(universe, ladders, R << v & full)[1]
                 for j in range(k, 0, -1):
                     avail[j] |= hit & avail[max(j - m, 0)]
             q2 &= ~avail[k]
@@ -452,26 +435,27 @@ def _stratum_masks(ladders: _Ladders, weights: WeightClasses, table, alive: int)
             reach = R
             for v in outside:
                 reach |= R << v
-            failed |= failing & ladders(full & ~reach)[1]
+            failed |= failing & _memo_ladder(universe, ladders, full & ~reach)[1]
             pending.append((row, failing))
     return well_formed, failed, pending
 
 
-def _geometric_entries(ladders: _Ladders, weights: WeightClasses, table, alive: int) -> int:
+def _geometric_entries(
+    universe: _Universe, ladders: dict, weights: WeightClasses, table, alive: int
+) -> int:
     """The entries in alive that are well formed and quasi-smooth families over
     weights: the masks of `_stratum_masks`, then `_stratum_outcome` on each
     row where a survivor fails Q1."""
-    well_formed, failed, pending = _stratum_masks(ladders, weights, table, alive)
+    well_formed, failed, pending = _stratum_masks(universe, ladders, weights, table, alive)
     kept = well_formed & ~failed
-    for (W, k, _g, _coords, outside, mults, R, _B), failing in pending:
+    for (W, k, _g, _coords, outside, mults, _R, _B), failing in pending:
         for i in _set_bits(failing & kept):
-            ds = ladders.universe.entries[i]
-            if _stratum_outcome(ds, W, k, outside, mults, False, R)[0] == "FAIL":
+            if _stratum_outcome(universe.entries[i], W, k, outside, mults, False)[0] == "FAIL":
                 kept ^= 1 << i
     return kept
 
 
-def _index_masks(ladders: _Ladders, table, kept: int) -> tuple[dict[int, int], int]:
+def _index_masks(universe: _Universe, ladders: dict, table, kept: int):
     """({index: entries}, smooth) for the families in kept: `_index` and
     `_smooth` over the rows of `_singular_strata`, read as masks.
 
@@ -485,11 +469,13 @@ def _index_masks(ladders: _Ladders, table, kept: int) -> tuple[dict[int, int], i
     for _W, k, g, _coords, _outside, _mults, R, B in table:
         if g == 1:
             continue
-        met = kept & ~_at_least(ladders(R), k) & ~ladders(R & B)[1]
+        met = kept & ~_at_least(_memo_ladder(universe, ladders, R), k)
+        met &= ~_memo_ladder(universe, ladders, R & B)[1]
         if not met:
             continue
         smooth &= ~met
-        raised = met & ~_at_least(ladders(_closure(1, g, ladders.full)), k)
+        multiples = _memo_ladder(universe, ladders, _closure(1, g, universe.full))
+        raised = met & ~_at_least(multiples, k)
         if raised:
             split: dict[int, int] = {}
             for index, entries in by_index.items():
@@ -500,13 +486,16 @@ def _index_masks(ladders: _Ladders, table, kept: int) -> tuple[dict[int, int], i
     return by_index, smooth
 
 
-def _geometric_families(ladders: _Ladders, weights: WeightClasses, max_degree: int, alive: int):
+def _geometric_families(
+    universe: _Universe, ladders: dict, weights: WeightClasses, max_degree: int, alive: int
+):
     """({index: entries}, smooth) for the well-formed, quasi-smooth non-cones
     among the entries in alive, as families over weights."""
     table = _degree_table(weights, max_degree)
     for v in weights.values():
-        alive &= ladders.universe.without[v]  # not a linear cone
-    return _index_masks(ladders, table, _geometric_entries(ladders, weights, table, alive))
+        alive &= universe.without[v]  # not a linear cone
+    kept = _geometric_entries(universe, ladders, weights, table, alive)
+    return _index_masks(universe, ladders, table, kept)
 
 
 def _h0(series: list[int], degrees: tuple[int, ...], h: int) -> int:
@@ -519,7 +508,7 @@ def _h0(series: list[int], degrees: tuple[int, ...], h: int) -> int:
 def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
     spec, values, universe_key = _domain(claim, bounds, q)
     universe = _degree_universe(*universe_key)
-    ladders = _Ladders(universe)
+    ladders: dict[int, list[int]] = {}
     checked = 0
     cex: list[dict] = []
     wits: list[dict] = []
@@ -530,7 +519,7 @@ def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
         sum_a = sum(weights)
         max_c = min(bounds.max_codim, len(weights) - 1)
         alive = universe.codim_le[max_c] & _sum_at_most(universe, sum_a)
-        by_index, smooth = _geometric_families(ladders, classes, bounds.max_degree, alive)
+        by_index, smooth = _geometric_families(universe, ladders, classes, bounds.max_degree, alive)
         checked += sum(entries.bit_count() for entries in by_index.values())
         series = hilbert.series_coefficients((), weights, max(by_index, default=0))
         encoded = _encode_run_length(weights)
@@ -539,7 +528,7 @@ def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
             for i in _set_bits(entries):
                 ds = universe.entries[i]
                 c = len(ds)
-                enc = ",".join(map(str, ds)) + "/" + encoded
+                enc = encode_sides(ds, encoded)
                 if _h0(series, ds, index) < 1:
                     cex.append({"family": enc, "check": "nonvanishing", "index": index, "h0": 0})
                 if not smooth >> i & 1:
@@ -580,8 +569,8 @@ def _pairwise_gcd_lcm(weights: tuple[int, ...]) -> int:
 def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
     spec, values, _ = _domain(claim, bounds, q)
     # one entry (f) per degree f <= max_degree
-    universe = _degree_universe(1, bounds.max_degree, 1, 1, bounds.max_weight)
-    ladders = _Ladders(universe)
+    universe = _degree_universe(1, bounds.max_degree, 1, bounds.max_weight)
+    ladders: dict[int, list[int]] = {}
     alive = universe.codim_le[1]
     checked = 0
     cex: list[dict] = []
@@ -610,7 +599,7 @@ def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
         classes = WeightClasses.from_weights(weights)
         if not space_well_formed(classes):
             continue
-        by_index, _smooth = _geometric_families(ladders, classes, bounds.max_degree, alive)
+        by_index, _ = _geometric_families(universe, ladders, classes, bounds.max_degree, alive)
         checked += sum(entries.bit_count() for entries in by_index.values())
         sum_a = sum(weights)
         encoded = _encode_run_length(weights)
@@ -619,7 +608,7 @@ def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
         for index, entries in by_index.items():
             for i in _set_bits(entries):
                 f = universe.sums[i]
-                enc = f"{f}/{encoded}"
+                enc = encode_sides((f,), encoded)
                 delta = f - sum_a
                 start = (max(delta, 0) // index + 1) * index  # least multiple > max(delta, 0)
                 for h_prime in range(start, bounds.max_degree + 1, index):
@@ -732,7 +721,7 @@ def _domain(claim: str, bounds: SearchBounds, q) -> tuple[_Claim, list[int], tup
     spec = _CLAIM_SPECS[claim]
     divisor = q if spec.over_q else 1
     values = _weight_values(bounds.max_weight, spec.min_weight, divisor) if bounds.max_codim else []
-    return spec, values, (bounds.max_codim, bounds.max_degree, 1, divisor, bounds.max_weight)
+    return spec, values, (bounds.max_codim, bounds.max_degree, divisor, bounds.max_weight)
 
 
 def _estimate(claim: str, bounds: SearchBounds, q, ceiling: int) -> int:
@@ -740,7 +729,7 @@ def _estimate(claim: str, bounds: SearchBounds, q, ceiling: int) -> int:
     n_tuples = _count_tuples(len(values), spec.min_len, bounds.max_vars)
     if spec.refine is None:  # part (a) plus every degree up to max_degree
         return n_tuples * (bounds.max_degree + 1)
-    divisor = universe_key[3]
+    divisor = universe_key[2]
     n_multisets = _count_tuples(bounds.max_degree // divisor, 1, bounds.max_codim)
     raw = n_tuples * n_multisets
     if raw <= ceiling or n_multisets > _REFINE_MULTISET_CAP or n_tuples > _REFINE_TUPLE_CAP:
@@ -835,13 +824,12 @@ CLAIMS = {
 # -- instance enumeration ----------------------------------------------------------
 
 
-def _pair_annotations(ds: tuple[int, ...], weights: tuple[int, ...]) -> dict:
-    pair = Pair.of(ds, weights)
+def _pair_annotations(pair: Pair) -> dict:
     return {
-        "codim": len(ds),
-        "delta": sum(ds) - sum(weights),
+        "codim": pair.codim,
+        "delta": sum(pair.degrees) - sum(pair.weights),
         "regular": is_regular(pair),
-        "gcd_one": reduce(math.gcd, weights) == 1,
+        "gcd_one": reduce(math.gcd, pair.weights) == 1,
     }
 
 
@@ -893,7 +881,8 @@ def enumerate_instances(
             for c in range(min_codim, max_c + 1):
                 for ds in combinations_with_replacement(degree_values, c):
                     if not families:
-                        out.append((_pair_encoding(ds, weights), _pair_annotations(ds, weights)))
+                        pair = Pair.of(ds, weights)
+                        out.append((pair.encode(), _pair_annotations(pair)))
                         continue
                     family = WciFamily.of(ds, classes)
                     ann = _family_annotations(family)

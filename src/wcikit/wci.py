@@ -20,10 +20,10 @@ without a unit weight, each with two Python-int bitmasks over the degrees
 stratum's coordinates).  The family claims read those rows as masks over
 every degree multiset at once (`verify._stratum_masks` and
 `verify._index_masks`); where Q1 fails at codim >= 2 they call
-`_stratum_outcome` with the row's R_W, which `_rep` and the Q2 availability
-test read as bits instead of asking arith, so the rules are written once.
-One-shot calls build no degree table (a 12-value weight tuple has 4,095
-rows), and `space_well_formed` reads only the gcds of the values.
+`_stratum_outcome`, which reads the Apery tables already built for R_W, so
+the rules are written once.  One-shot calls build no degree table (a 12-value
+weight tuple has 4,095 rows), and `space_well_formed` reads only the gcds of
+the values.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from itertools import combinations
 
 from .arith import _repr_mask, _repr_over, monomial_count
 from .errors import DomainError, UsageError
-from .pairs import Pair, _encode_run_length, parse_sides
+from .pairs import Pair, _encode_run_length, encode_sides, parse_sides
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ class WciFamily:
         return cls.of(degrees, weights)
 
     def encode(self) -> str:
-        return ",".join(map(str, self.degrees)) + "/" + _encode_run_length(self.weights.expand())
+        return encode_sides(self.degrees, _encode_run_length(self.weights.expand()))
 
     def pair(self) -> Pair:
         return Pair(self.degrees, self.weights.expand())
@@ -238,11 +238,8 @@ def _degree_table(weights: WeightClasses, upto: int) -> tuple:
     return tuple(rows)
 
 
-def _rep(degrees: tuple[int, ...], W: tuple[int, ...], R: int | None) -> list[int]:
-    """The degrees representable over W, in order: those that cut its stratum.
-    R is a degree-table row's R_W, or None to ask arith."""
-    if R is not None:
-        return [d for d in degrees if R >> d & 1]
+def _rep(degrees: tuple[int, ...], W: tuple[int, ...]) -> list[int]:
+    """The degrees representable over W, in order: those that cut its stratum."""
     return [d for d in degrees if _repr_over(d, W)]
 
 
@@ -250,7 +247,7 @@ def _excess(degrees, W: tuple[int, ...], k: int, coords: tuple[int, ...]) -> int
     """Dimension excess (k - 1) - #degrees representable over W of the maximal
     stratum with k coordinates of weights coords, or None when a general member
     misses it: too many degrees cut it, or one restricts to a single monomial."""
-    rep = _rep(degrees, W, None)
+    rep = _rep(degrees, W)
     excess = (k - 1) - len(rep)
     if excess < 0 or any(monomial_count(d, coords) == 1 for d in rep):
         return None
@@ -439,12 +436,11 @@ def _leftover(degrees: tuple[int, ...], taken) -> list[int]:
     return left
 
 
-def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool, R):
+def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool):
     """Classify one distinct-value stratum (k coordinates; outside classes of
-    values outside and multiplicities mults) as Q1 / Q2 / FAIL; R as in
-    `_rep`."""
+    values outside and multiplicities mults) as Q1 / Q2 / FAIL."""
     rho = min(len(degrees), k)
-    rep = _rep(degrees, W, R)
+    rep = _rep(degrees, W)
     if len(rep) >= rho:
         return "Q1", ({"degrees": rep[:rho]} if detailed else {})
 
@@ -452,7 +448,7 @@ def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool, R):
         """The outside classes v with d - v >= 0 representable over W."""
         mask = 0
         for b, v in enumerate(outside):
-            if d >= v and (R >> d - v & 1 if R is not None else _repr_over(d - v, W)):
+            if d >= v and _repr_over(d - v, W):
                 mask |= 1 << b
         return mask
 
@@ -524,7 +520,7 @@ def _qs_walk(degrees, weights: WeightClasses, detailed: bool):
         raise DomainError("quasi-smoothness undefined for a linear cone")
     rows = _strata(weights) if degrees else ()
     return (
-        (W, k) + _stratum_outcome(degrees, W, k, outside, mults, detailed, None)
+        (W, k) + _stratum_outcome(degrees, W, k, outside, mults, detailed)
         for W, k, _g, _coords, outside, mults in rows
         if detailed or W[0] != 1
     )
@@ -683,11 +679,6 @@ class IndexReport:
         return {"index": self.index, "contributors": [s.as_dict() for s in self.contributors]}
 
 
-def _index_value(family: WciFamily) -> int:
-    """The index over all singular strata; no gate."""
-    return _index(_singular_strata(family.degrees, family.weights))
-
-
 def fundamental_index(family: WciFamily) -> IndexReport:
     """Cartier index of the hyperplane class on a general member."""
     _require_geometric(family, "fundamental_index")
@@ -766,7 +757,7 @@ def _base_locus(family: WciFamily, ell: int) -> list[BaseLocusComponent]:
         if any(sw < set(W2) for W2 in hits):
             continue
         classes = WeightClasses(tuple((v, m) for v, m in family.weights.classes if v in sw))
-        rep = _rep(family.degrees, W, None)
+        rep = _rep(family.degrees, W)
         components.append(BaseLocusComponent(W, WciFamily.of(rep, classes)))
     return components
 

@@ -103,7 +103,8 @@ def test_criterion_3_oracle_equivalence():
             family = WciFamily.of(ds, ws)
             if not wci.is_linear_cone(family):
                 assert wci.is_quasi_smooth(family) == oracles.quasi_smooth(ds, ws)
-            assert wci._index_value(family) == oracles.fundamental_index(ds, ws)
+            index = wci._index(wci._singular_strata(family.degrees, family.weights))
+            assert index == oracles.fundamental_index(ds, ws)
             pair = Pair.of(ds, ws)
             for h in (1, 2, 6):
                 assert pairs.is_h_regular(pair, h) == oracles.h_regular(ds, ws, h)

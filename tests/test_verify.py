@@ -341,6 +341,31 @@ def test_estimate_refinement_counts_regular_multisets(claim, window, q):
     assert verify._estimate(claim, SearchBounds(*window), q, 1) == expected
 
 
+def test_estimate_refinement_counts_nonvanishing_multisets():
+    """Above the ceiling the nonvanishing estimate counts, per canonical tuple
+    of 2..max_vars weights, the degree multisets with codim <= min(max_codim,
+    n - 1) and delta <= 0, cones and non-well-formed spaces included."""
+    window = (3, 4, 5, 12)
+    max_codim, max_vars, max_weight, max_degree = window
+    tuples = [
+        ws
+        for n in range(2, max_vars + 1)
+        for ws in combinations_with_replacement(range(max_weight, 0, -1), n)
+    ]
+    multisets = [
+        ds
+        for c in range(1, max_codim + 1)
+        for ds in combinations_with_replacement(range(max_degree, 0, -1), c)
+    ]
+    expected = sum(
+        len(ds) <= min(max_codim, len(ws) - 1) and sum(ds) <= sum(ws)
+        for ws in tuples
+        for ds in multisets
+    )
+    assert 0 < expected < len(tuples) * len(multisets)  # the raw product is not it
+    assert verify._estimate("nonvanishing", SearchBounds(*window), None, 1) == expected
+
+
 def test_report_serialization_shape():
     report = verify_prop_regular(SMALL)
     data = report.as_dict()

@@ -17,9 +17,10 @@ from wcikit.verify import FamilyFilter, SearchBounds, enumerate_instances
 from wcikit.wci import (
     WciFamily,
     WeightClasses,
-    _index_value,
+    _index,
     _repr_over,
     _selection_exists,
+    _singular_strata,
     _strata,
     augment,
     base_locus,
@@ -170,7 +171,8 @@ def test_fundamental_index_examples():
     assert fundamental_index(X231).index == 1
     assert fundamental_index(X6).index == 1
     # the {4,6} stratum meets this (not quasi-smooth) family, but 2 | both degrees
-    assert _index_value(WciFamily.parse("12,2/6,4,1^3")) == 1
+    family = WciFamily.parse("12,2/6,4,1^3")
+    assert _index(_singular_strata(family.degrees, family.weights)) == 1
 
 
 def test_fundamental_index_gate():
@@ -349,7 +351,8 @@ def test_reduction_matches_oracle_randomized():
         if space_well_formed(list(ws)):
             wf = wci_well_formed(fam)
             assert wf == oracles.wci_well_formed(ds, ws)
-        assert _index_value(fam) == oracles.fundamental_index(ds, ws)
+        index = _index(_singular_strata(fam.degrees, fam.weights))
+        assert index == oracles.fundamental_index(ds, ws)
         if qs and wf:
             smooth = is_smooth(fam)
             assert smooth == oracles.is_smooth(ds, ws)
@@ -432,18 +435,18 @@ def _small_weight_tuples(max_vars, max_weight):
             yield WeightClasses.from_weights(ws)
 
 
-def _mask_indices(ladders, weights, upto, alive):
+def _mask_indices(universe, ladders, weights, upto, alive):
     """{entry: index} and the smooth entries of the geometric families among
     alive, from the family claims' masks."""
-    by_index, smooth = verify._geometric_families(ladders, weights, upto, alive)
+    by_index, smooth = verify._geometric_families(universe, ladders, weights, upto, alive)
     return {i: ix for ix, entries in by_index.items() for i in verify._set_bits(entries)}, smooth
 
 
 def test_hypersurface_masks_match_per_family_predicates():
     # The engine at codim 1, over the hypersurface claim's universe.
     upto = 40
-    universe = verify._degree_universe(1, upto, 1, 1, 10)
-    ladders = verify._Ladders(universe)
+    universe = verify._degree_universe(1, upto, 1, 10)
+    ladders = {}
     families = passing = 0
     for weights in _small_weight_tuples(5, 10):
         expected = {}
@@ -457,7 +460,7 @@ def test_hypersurface_masks_match_per_family_predicates():
                 WciFamily.of(degrees, weights)
             ):
                 expected[f] = wci._index(rows)
-        index, _smooth = _mask_indices(ladders, weights, upto, universe.codim_le[1])
+        index, _smooth = _mask_indices(universe, ladders, weights, upto, universe.codim_le[1])
         got = {universe.entries[i][0]: ix for i, ix in sorted(index.items())}
         assert list(got.items()) == list(expected.items()), weights
         passing += len(got)
@@ -468,8 +471,8 @@ def test_nonvanishing_masks_match_per_family_predicates():
     # Every non-cone family with 2-5 weights <= 6, codim 1-3 and degrees <= 16:
     # the nonvanishing claim's masks against the one-shot predicates.
     upto = 16
-    universe = verify._degree_universe(3, upto, 1, 1, 6)
-    ladders = verify._Ladders(universe)
+    universe = verify._degree_universe(3, upto, 1, 6)
+    ladders = {}
     checked = by_starved = by_q1 = 0
     verdicts = set()
     for weights in _small_weight_tuples(5, 6):
@@ -477,9 +480,10 @@ def test_nonvanishing_masks_match_per_family_predicates():
         for v in weights.values():
             alive &= universe.without[v]
         table = wci._degree_table(weights, upto)
-        well_formed, failed, pending = verify._stratum_masks(ladders, weights, table, alive)
-        kept = verify._geometric_entries(ladders, weights, table, alive)
-        index, smooth = _mask_indices(ladders, weights, upto, alive)
+        masks = verify._stratum_masks(universe, ladders, weights, table, alive)
+        well_formed, failed, pending = masks
+        kept = verify._geometric_entries(universe, ladders, weights, table, alive)
+        index, smooth = _mask_indices(universe, ladders, weights, upto, alive)
         assert sorted(index) == list(verify._set_bits(kept)) and smooth & ~kept == 0
         no_search = well_formed & ~failed
         for (W, k, _g, _coords, outside, mults, _R, _B), failing in pending:
@@ -487,7 +491,7 @@ def test_nonvanishing_masks_match_per_family_predicates():
             for i in verify._set_bits(failing):
                 assert len(universe.entries[i]) >= 2, (universe.entries[i], weights, W)
             for i in verify._set_bits(failing & well_formed & ~failed):
-                outcome = wci._stratum_outcome(universe.entries[i], W, k, outside, mults, False, None)
+                outcome = wci._stratum_outcome(universe.entries[i], W, k, outside, mults, False)
                 assert outcome[0] != "Q1", (universe.entries[i], weights, W)
         by_starved += (well_formed & failed).bit_count()
         by_q1 += no_search.bit_count()

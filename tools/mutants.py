@@ -160,13 +160,30 @@ MUTANTS = [
     (
         "condition (i) read at [k - 1]",
         "src/wcikit/verify.py",
-        "_closure(1, g, ladders.full)), k)",
-        "_closure(1, g, ladders.full)), k - 1)",
+        "raised = met & ~_at_least(multiples, k)",
+        "raised = met & ~_at_least(multiples, k - 1)",
         [
             "tests/test_wci.py::test_hypersurface_masks_match_per_family_predicates",
             "tests/test_wci.py::test_nonvanishing_masks_match_per_family_predicates",
             "tests/test_verify.py::test_family_claims_match_naive_walk",
         ],
+    ),
+    (
+        "exact Q2 search keeps every pending entry",
+        "src/wcikit/verify.py",
+        "kept ^= 1 << i",
+        "kept |= 0",
+        [
+            "tests/test_wci.py::test_nonvanishing_masks_match_per_family_predicates",
+            "tests/test_verify.py::test_family_claims_match_naive_walk",
+        ],
+    ),
+    (
+        "nonvanishing estimate prefix one short",
+        "src/wcikit/verify.py",
+        "_sum_at_most(universe, sum(weights))",
+        "_sum_at_most(universe, sum(weights) - 1)",
+        ["tests/test_verify.py::test_estimate_refinement_counts_nonvanishing_multisets"],
     ),
     (
         "single-monomial mask B_W marks the degrees with no monomial",
