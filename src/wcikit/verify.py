@@ -12,11 +12,13 @@ universe whose multisets, sorted by (sum, ds), are the bit positions of
 Python-int bitsets, and the count ladder of a degree mask M (`_ladder`) holds,
 for each j, the entries with at least j degrees in M.
 
-Regularity is decided wholesale.  A weight tuple's regular multisets are one
-AND of count ladders, those of the multiples of each g dividing a weight;
-with cones and codims over the cap masked out, a popcount is the number
-checked, and only set bits below the largest amplitude bound (a prefix) are
-visited one by one.  The three regular-pair claims share that worker,
+Regularity is decided wholesale, on a prefix walk of the weight tuples
+(`_regular_tuples`).  A tuple's regular multisets are its parent's ANDed with
+one row of a count ladder, that of the multiples of g, for each g dividing the
+weight it appends; a tuple with none is pruned with all its extensions.  With
+cones and codims over the cap masked out, a popcount is the number checked,
+and only set bits below the largest amplitude bound (a prefix) are visited
+one by one.  The three regular-pair claims share that worker,
 `_part_regular`, and differ only in the bound and in what an equality case
 records.  The nonvanishing claim walks the same kind of universe, where
 delta <= 0 is a prefix too.
@@ -248,8 +250,10 @@ def _requirement_bits(universe_key: tuple, g: int) -> list[int]:
     return bits
 
 
-def _regular_mask(universe_key: tuple, weights: tuple[int, ...]) -> int:
-    """The entries ds over which the pair (ds; weights) is 1-regular.
+def _regular_tuples(universe_key: tuple, values: list[int], first: int, min_len: int, max_len: int):
+    """(weights, mask) for the canonical weight tuples led by first, with
+    min_len..max_len entries from values (descending), whose mask, the entries
+    ds over which (ds; weights) is 1-regular, is not empty.
 
     1-regular means: for every subset of the weights with gcd h > 1, at least
     as many degrees as the subset has entries are divisible by h.  Requiring,
@@ -258,22 +262,42 @@ def _regular_mask(universe_key: tuple, weights: tuple[int, ...]) -> int:
     subset with gcd h lies inside the weights divisible by h; conversely, the
     weights divisible by g have a gcd g' with g | g', that subset asks for
     that many degrees divisible by g', and each of them is divisible by g.
+
+    The tuples are walked as a prefix tree: a child appends a weight a no
+    larger than the last one, and its mask is its parent's ANDed, for each g
+    dividing a, with the ladder of the multiples of g at the new count of
+    g-divisible weights (no entry when that count exceeds max_codim).  Ladder
+    rows nest, row k + 1 inside row k, so this is the one-shot AND over the
+    child's counts.  Masks only shrink along the walk, so a tuple with an
+    empty mask is skipped together with every tuple that extends it.
     """
     universe = _degree_universe(*universe_key)
-    req: dict[int, int] = {}
-    for a in weights:
-        for g in universe.divisors[a]:
-            req[g] = req.get(g, 0) + 1
-    mask = universe.codim_le[-1]
-    for g, k in req.items():
-        bits = _requirement_bits(universe_key, g)
-        mask &= bits[k] if k < len(bits) else 0  # no multiset has k > max_codim degrees
-    return mask
+    count = [0] * len(universe.divisors)  # [g]: weights of the prefix divisible by g
+
+    def extend(weights: tuple[int, ...], mask: int, j: int):
+        a = values[j]
+        gs = universe.divisors[a]
+        for g in gs:
+            count[g] += 1
+            bits = _requirement_bits(universe_key, g)
+            mask &= bits[count[g]] if count[g] < len(bits) else 0
+        if mask:
+            weights += (a,)
+            if len(weights) >= min_len:
+                yield weights, mask
+            if len(weights) < max_len:
+                for i in range(j, len(values)):
+                    yield from extend(weights, mask, i)
+        for g in gs:
+            count[g] -= 1
+
+    yield from extend((), universe.codim_le[-1], values.index(first))
 
 
 @lru_cache(maxsize=None)
-def _frobenius_cached(weights_sorted: tuple[int, ...]) -> int:
-    return frobenius(list(weights_sorted))
+def _frobenius_cached(values: frozenset[int]) -> int:
+    """The Frobenius number of a generator set: it depends on the distinct values alone."""
+    return frobenius(values)
 
 
 def _entry_key(entry: dict) -> tuple[str, str]:
@@ -301,7 +325,7 @@ def _frobenius_limits(weights: tuple[int, ...], max_codim: int, q):
     """delta >= Frobenius(weights) at every c <= n - 1, for coprime weights only."""
     if reduce(math.gcd, weights) != 1:
         return None
-    return [_frobenius_cached(tuple(sorted(weights)))] * len(weights)
+    return [_frobenius_cached(frozenset(weights))] * len(weights)
 
 
 _EXPECTED_FORM_NOTE = "(6^s,1^(c-s); 2^s,3^s)"
@@ -343,14 +367,15 @@ def _part_regular(claim: str, bounds: SearchBounds, q, first: int):
     checked = 0
     cex: list[dict] = []
     wits: list[dict] = []
-    for weights in _tuples_with_first(first, values, spec.min_len, bounds.max_vars):
+    for weights, mask in _regular_tuples(universe_key, values, first, spec.min_len, bounds.max_vars):
+        for v in set(weights):
+            mask &= universe.without[v]  # not a linear cone
+        if not mask:
+            continue
         limits = spec.limits(weights, bounds.max_codim, q)
         if limits is None:
             continue
-        max_c = min(len(limits) - 1, bounds.max_codim)
-        mask = _regular_mask(universe_key, weights) & universe.codim_le[max_c]
-        for v in set(weights):
-            mask &= universe.without[v]  # not a linear cone
+        mask &= universe.codim_le[min(len(limits) - 1, bounds.max_codim)]
         checked += mask.bit_count()
         # Only an entry with delta <= max(limits) can fall below or meet its bound.
         sum_a = sum(weights)
@@ -639,21 +664,26 @@ def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
 
 
 # Refining an estimate beyond the raw product requires materializing the degree
-# universe and walking every weight tuple; only do so below these sizes.
+# universe and walking the weight tuples (the regular-pair claims only those
+# with a regular multiset); only do so below these sizes.
 _REFINE_MULTISET_CAP = 500_000
 _REFINE_TUPLE_CAP = 2_000_000
 
 
-def _estimate_regular(bounds: SearchBounds, universe_key: tuple, weights: tuple[int, ...]) -> int:
-    return _regular_mask(universe_key, weights).bit_count()
+def _estimate_regular(claim: str, bounds: SearchBounds, q, first: int) -> int:
+    spec, values, universe_key = _domain(claim, bounds, q)
+    walk = _regular_tuples(universe_key, values, first, spec.min_len, bounds.max_vars)
+    return sum(mask.bit_count() for _, mask in walk)
 
 
-def _estimate_delta_le_zero(
-    bounds: SearchBounds, universe_key: tuple, weights: tuple[int, ...]
-) -> int:
+def _estimate_delta_le_zero(claim: str, bounds: SearchBounds, q, first: int) -> int:
+    spec, values, universe_key = _domain(claim, bounds, q)
     universe = _degree_universe(*universe_key)
-    max_c = min(bounds.max_codim, len(weights) - 1)
-    return (universe.codim_le[max_c] & _sum_at_most(universe, sum(weights))).bit_count()
+    total = 0
+    for weights in _tuples_with_first(first, values, spec.min_len, bounds.max_vars):
+        max_c = min(bounds.max_codim, len(weights) - 1)
+        total += (universe.codim_le[max_c] & _sum_at_most(universe, sum(weights))).bit_count()
+    return total
 
 
 @dataclass(frozen=True)
@@ -662,8 +692,8 @@ class _Claim:
 
     Weight tuples have min_len..max_vars entries drawn from the multiples of q
     (over_q) or of 1 between min_weight and max_weight; partitions are keyed
-    by the largest entry.  `refine(bounds, universe_key, weights)` counts the
-    instances one weight tuple yields, for when the raw estimate trips the
+    by the largest entry.  `refine(claim, bounds, q, first)` counts the
+    instances one partition yields, for when the raw estimate trips the
     ceiling; hypersurface has none.  The regular-pair claims share
     `_part_regular` and differ only in `limits(weights, max_codim, q)`, the
     least allowed delta indexed by codim (its length caps c; None skips the
@@ -735,12 +765,8 @@ def _estimate(claim: str, bounds: SearchBounds, q, ceiling: int) -> int:
     if raw <= ceiling or n_multisets > _REFINE_MULTISET_CAP or n_tuples > _REFINE_TUPLE_CAP:
         return raw
     # The raw product trips the ceiling, but far fewer instances usually get
-    # visited; count them per weight tuple.
-    return sum(
-        spec.refine(bounds, universe_key, weights)
-        for first in values
-        for weights in _tuples_with_first(first, values, spec.min_len, bounds.max_vars)
-    )
+    # visited; count them per partition.
+    return sum(spec.refine(claim, bounds, q, first) for first in values)
 
 
 def _run_partition(args):

@@ -98,7 +98,8 @@ def test_hypersurface_small_window():
 
 
 # Tiny windows (codim <= 3, vars <= 4, weight <= 9, degree <= 16, plus the
-# pinned 928 window) on which every regular-pair claim is walked naively.
+# pinned 928 window) on which every regular-pair claim is walked naively; the
+# last three reach six weights, so the prefix walk prunes deep subtrees.
 REGULAR_GRID = [
     ("prop-regular", (2, 4, 8, 16), None),
     ("prop-regular", (3, 3, 6, 12), None),
@@ -110,6 +111,9 @@ REGULAR_GRID = [
     ("lemma-qdiv", (2, 3, 9, 12), 3),
     ("lemma-qdiv", (3, 4, 9, 16), 2),
     ("lemma-qdiv", (3, 4, 9, 16), 3),
+    ("prop-regular", (2, 6, 6, 12), None),
+    ("conjecture-regular", (2, 6, 7, 14), None),
+    ("lemma-qdiv", (3, 6, 8, 12), 2),
 ]
 
 
@@ -274,22 +278,30 @@ def test_regular_mask_matches_naive_scan(claim, window, q):
     ]
     assert sorted(map(sorted, entries)) == sorted(map(sorted, every))
     assert universe.sums == sorted(universe.sums) == [sum(ds) for ds in entries]
+    def chosen(mask):
+        return {entries[i] for i, bit in enumerate(format(mask, "b")[::-1]) if bit == "1"}
+
     tuples = [
         ws
         for first in values
         for ws in verify._tuples_with_first(first, values, spec.min_len, max_vars)
     ]
-    assert len(tuples) > 10
+    walked = [
+        (ws, mask)
+        for first in values
+        for ws, mask in verify._regular_tuples(universe_key, values, first, spec.min_len, max_vars)
+    ]
+    yielded = dict(walked)
+    assert len(yielded) == len(walked)  # no tuple twice
+    assert 10 < len(yielded) < len(tuples)  # some subtrees are pruned
+    assert set(yielded) <= set(tuples)
     for ws in tuples:
-        bits = format(verify._regular_mask(universe_key, ws), "b")[::-1]
-        selected = {entries[i] for i, bit in enumerate(bits) if bit == "1"}
-        assert selected == {ds for ds in entries if oracles.h_regular(ds, ws, 1)}, ws
+        regular = {ds for ds in entries if oracles.h_regular(ds, ws, 1)}
+        # a tuple left out has no regular multiset of codim <= max_codim
+        assert chosen(yielded.get(ws, 0)) == regular, ws
     over = (2,) * (max_codim + 1)  # asks for more even degrees than any multiset has
-    assert verify._regular_mask(universe_key, over) == 0
+    assert list(verify._regular_tuples(universe_key, [2], 2, len(over), len(over))) == []
     assert not any(oracles.h_regular(ds, over, 1) for ds in entries)
-
-    def chosen(mask):
-        return {entries[i] for i in verify._set_bits(mask)}
 
     max_weight = window[2]
     for v in range(max_weight + 1):

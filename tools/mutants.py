@@ -57,8 +57,8 @@ MUTANTS = [
     (
         "regular-pair codim cap read at max_c - 1",
         "src/wcikit/verify.py",
-        "weights) & universe.codim_le[max_c]",
-        "weights) & universe.codim_le[max_c - 1]",
+        "mask &= universe.codim_le[min(len(limits) - 1, bounds.max_codim)]",
+        "mask &= universe.codim_le[min(len(limits) - 1, bounds.max_codim) - 1]",
         ["tests/test_verify.py::test_regular_claims_match_naive_walk"],
     ),
     (
@@ -72,10 +72,44 @@ MUTANTS = [
         ],
     ),
     (
-        "requirement bits read at [k - 1]",
+        "requirement bits read at [k - 1]: a child's ladder at count_g, not count_g + 1",
         "src/wcikit/verify.py",
-        "mask &= bits[k] if",
-        "mask &= bits[k - 1] if",
+        "mask &= bits[count[g]] if",
+        "mask &= bits[count[g] - 1] if",
+        ["tests/test_verify.py::test_regular_mask_matches_naive_scan"],
+    ),
+    (
+        "regular walk children restart at j + 1 (no repeated weight)",
+        "src/wcikit/verify.py",
+        "for i in range(j, len(values)):",
+        "for i in range(j + 1, len(values)):",
+        [
+            "tests/test_verify.py::test_regular_mask_matches_naive_scan",
+            "tests/test_verify.py::test_regular_claims_match_naive_walk",
+        ],
+    ),
+    (
+        "regular walk keeps a finished child's counts",
+        "src/wcikit/verify.py",
+        "        for g in gs:\n            count[g] -= 1\n",
+        "",
+        [
+            "tests/test_verify.py::test_regular_mask_matches_naive_scan",
+            "tests/test_verify.py::test_regular_claims_match_naive_walk",
+        ],
+    ),
+    (
+        "regular walk keeps the top ladder row past max_codim",
+        "src/wcikit/verify.py",
+        "if count[g] < len(bits) else 0",
+        "if count[g] < len(bits) else bits[-1]",
+        ["tests/test_verify.py::test_regular_mask_matches_naive_scan"],
+    ),
+    (
+        "regular walk yields tuples with an empty mask",
+        "src/wcikit/verify.py",
+        "        if mask:\n            weights += (a,)\n",
+        "        if True:\n            weights += (a,)\n",
         ["tests/test_verify.py::test_regular_mask_matches_naive_scan"],
     ),
     (
