@@ -34,11 +34,18 @@ class BoundsExceededError(UsageError):
         self.estimate = estimate
         self.ceiling = ceiling
 
+    def __reduce__(self):  # pickled from a verify worker
+        return type(self), (self.estimate, self.ceiling)
+
 
 class CeilingExceededError(UsageError):
     """An input exceeds a fixed ceiling that keeps time and memory bounded."""
 
     def __init__(self, what: str, value: int, ceiling: int):
         super().__init__(f"{what} {value} exceeds ceiling {ceiling}")
+        self.what = what
         self.value = value
         self.ceiling = ceiling
+
+    def __reduce__(self):  # pickled from a verify worker
+        return type(self), (self.what, self.value, self.ceiling)

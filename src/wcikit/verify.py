@@ -2,10 +2,13 @@
 
 Every claim quantifies over canonical (sorted-descending) pairs or families
 inside a finite window, a SearchBounds.  Enumeration is partitioned by the
-largest weight entry; partitions can run on worker processes and the merged
-report is sorted by canonical encoding, so output is byte-identical for any
-worker count.  `enumerate_instances` walks the same weight-tuple domain and
-alone takes a FamilyFilter, which selects the families it lists.
+largest weight entry.  With workers > 1 the partitions run on children
+forked from the calling process (`_run_forked`; fork only, so the children
+inherit its module state at the fork, and workers > 1 are refused where
+os.fork is missing), and the merged report is sorted by canonical encoding,
+so output is byte-identical for any worker count.  `enumerate_instances`
+walks the same weight-tuple domain and alone takes a FamilyFilter, which
+selects the families it lists.
 
 Every claim counts degrees with one tool.  Each degree window has one
 universe whose multisets, sorted by (sum, ds), are the bit positions of
@@ -41,14 +44,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import combinations, combinations_with_replacement
 from time import perf_counter
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import hilbert
 from .arith import frobenius, is_prime
@@ -159,6 +163,12 @@ def instance_ceiling() -> int:
 
 
 def default_workers() -> int:
+    """Available parallelism: the CPUs this process may run on, or 1 where
+    there is no os.fork to run partitions in parallel."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -198,7 +208,8 @@ def _degree_universe(max_codim: int, max_degree: int, divisor: int, max_weight: 
     """Every multiset of 1..max_codim degrees, multiples of divisor up to
     max_degree, as one bit position, sorted by (sum, ds), with its per-position
     tables, which every count ladder (`_ladder`) reads, and the degree mask
-    full.  Built lazily, never before a pool forks."""
+    full.  Built lazily: in a forked run, by the children, unless an estimate's
+    refinement (`_estimate`) built it first, which they then inherit."""
     values = _weight_values(max_degree, divisor=divisor)
     sizes = range(1, max_codim + 1)
     pairs = sorted((sum(ds), ds) for c in sizes for ds in combinations_with_replacement(values, c))
@@ -773,6 +784,94 @@ def _run_partition(args):
     return _CLAIM_SPECS[args[0]].part(*args)
 
 
+def _serve(tasks: list, task_r: int, result_w: int, inherited: set[int]) -> NoReturn:
+    """A forked child's whole life: run the partitions whose numbers it reads
+    from task_r until the pipe is empty, write one pickle of its
+    [(number, result)], or of the exception raised, to result_w, and exit
+    without ever returning into the caller's stack."""
+    status = 1
+    try:
+        import pickle
+
+        for fd in inherited:  # the task pipe must reach EOF once the parent is done
+            os.close(fd)
+        try:
+            done = []
+            while number := os.read(task_r, 4):  # whole numbers: each write is atomic
+                i = int.from_bytes(number, "little")
+                done.append((i, _run_partition(tasks[i])))
+            payload = pickle.dumps(done)
+        except Exception as exc:  # the parent re-raises it
+            payload = pickle.dumps(exc)
+        with open(result_w, "wb") as out:
+            out.write(payload)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_forked(tasks: list, workers: int) -> list:
+    """`_run_partition` over tasks on min(workers, len(tasks)) forked children,
+    results in task order.
+
+    The children inherit this process's module state at the fork and take
+    task numbers from one pipe as they go idle.  A child's exception is
+    raised here with its type; a child that exits without a result makes the
+    run raise.  Every child is reaped before this returns or raises, those
+    still running killed first."""
+    import pickle
+    import signal
+
+    sys.stdout.flush()  # else a child could print the parent's buffered text again
+    sys.stderr.flush()
+    task_r, task_w = os.pipe()
+    fds = {task_r, task_w}  # open here
+    children: dict[int, int] = {}  # unreaped pid -> read end of its result pipe
+
+    def close(fd: int) -> None:
+        fds.remove(fd)
+        os.close(fd)
+
+    try:
+        for _ in range(min(workers, len(tasks))):
+            result_r, result_w = os.pipe()
+            fds |= {result_r, result_w}
+            pid = os.fork()
+            if pid == 0:
+                _serve(tasks, task_r, result_w, fds - {task_r, result_w})
+            close(result_w)
+            children[pid] = result_r
+        close(task_r)
+        try:
+            for i in range(len(tasks)):
+                os.write(task_w, i.to_bytes(4, "little"))
+        except BrokenPipeError:
+            pass  # every child is gone; its missing result raises below
+        close(task_w)
+        parts = {}
+        for pid, result_r in list(children.items()):
+            payload = b"".join(iter(partial(os.read, result_r, 1 << 16), b""))
+            close(result_r)
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if not payload:
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"verify worker {pid} exited with status {code} and no result")
+            done = pickle.loads(payload)
+            if isinstance(done, Exception):
+                raise done
+            parts.update(done)
+        return [parts[i] for i in range(len(tasks))]
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
+
+
 # -- drivers ----------------------------------------------------------------------
 
 
@@ -789,16 +888,13 @@ def _run_claim(claim: str, bounds: SearchBounds, q=None, workers: int | None = N
         workers = 1
     elif workers < 1:
         raise UsageError(f"workers must be at least 1, got {workers}")
+    elif workers > 1 and not hasattr(os, "fork"):
+        raise UsageError(f"workers above 1 need os.fork, which this platform lacks; got {workers}")
     start = perf_counter()
     _within_ceiling(lambda ceiling: _estimate(claim, bounds, q, ceiling))
     tasks = [(claim, bounds, q, first) for first in _domain(claim, bounds, q)[1]]
     if workers > 1 and len(tasks) > 1:
-        # Imported here because only a pooled run needs it.  Under fork the
-        # pool starts every worker up front; never more than tasks.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            parts = list(pool.map(_run_partition, tasks))
+        parts = _run_forked(tasks, workers)
     else:
         parts = [_run_partition(t) for t in tasks]
     checked = sum(p[0] for p in parts)

@@ -1,14 +1,18 @@
 """Claim verification runs, enumeration, and the instance ceiling."""
 
-import concurrent.futures
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
 import oracles
 from wcikit import hilbert, verify
-from wcikit.errors import BoundsExceededError, UsageError
+from wcikit.errors import BoundsExceededError, CeilingExceededError, DomainError, UsageError
 from wcikit.pairs import Pair, delta
 from wcikit.verify import (
     CLAIMS,
@@ -235,25 +239,127 @@ def test_workers_below_one_refused():
 
 
 def test_pool_never_outnumbers_partitions(monkeypatch):
-    sizes = []
+    real_fork = os.fork
+    forked = []
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     report = verify_prop_regular(SMALL, workers=10**6)
-    assert sizes == [7]  # one partition per weight 2..8
+    assert len(forked) == 7  # one child per partition, weights 2..8
     assert report.instances_checked == 621
+
+
+def _hook_partitions(monkeypatch, claim, hook):
+    """Make every partition of claim call hook(first) before its real part."""
+    spec = verify._CLAIM_SPECS[claim]
+
+    def part(claim, bounds, q, first):
+        hook(first)
+        return spec.part(claim, bounds, q, first)
+
+    monkeypatch.setitem(verify._CLAIM_SPECS, claim, dataclasses.replace(spec, part=part))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_run_reraises_typed_errors_and_reaps(monkeypatch):
+    assert verify_prop_regular(SMALL, workers=2).instances_checked == 621
+    _assert_no_child_left()
+    # CeilingExceededError takes three arguments, so it has to pickle by them.
+    for error in (DomainError("partition 5 is undefined"), CeilingExceededError("series order", 7, 5)):
+
+        def fail(first, error=error):
+            if first == 5:
+                raise error
+
+        _hook_partitions(monkeypatch, "prop-regular", fail)
+        with pytest.raises(type(error)) as raised:
+            verify_prop_regular(SMALL, workers=2)
+        assert str(raised.value) == str(error)
+        assert type(raised.value) is type(error)
+        _assert_no_child_left()
+
+
+def test_forked_run_raises_when_a_child_dies(monkeypatch):
+    def crash(first):
+        if first == 5:
+            os._exit(3)
+
+    _hook_partitions(monkeypatch, "prop-regular", crash)
+    with pytest.raises(RuntimeError, match="status 3 and no result"):
+        verify_prop_regular(SMALL, workers=2)
+    _assert_no_child_left()
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # so stdout, a pipe, is block-buffered
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(verify.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_forked_run_prints_buffered_output_once():
+    # stdout is a pipe here, so "before" sits in the buffer when the children
+    # fork; each partition flushes its own line.
+    proc = _run_python(
+        "import dataclasses, sys\n"
+        "from wcikit import verify\n"
+        "spec = verify._CLAIM_SPECS['prop-regular']\n"
+        "def part(*args):\n"
+        "    sys.stdout.write(f'part {args[-1]}\\n')\n"
+        "    sys.stdout.flush()\n"
+        "    return spec.part(*args)\n"
+        "verify._CLAIM_SPECS['prop-regular'] = dataclasses.replace(spec, part=part)\n"
+        "sys.stdout.write('before\\n')\n"
+        "report = verify.verify_prop_regular(verify.SearchBounds(2, 4, 8, 16), workers=2)\n"
+        "print('after', report.instances_checked)\n"
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "before" and lines[-1] == "after 621"
+    assert sorted(lines[1:-1]) == sorted(f"part {first}" for first in range(2, 9))
+
+
+def test_pooled_run_imports_no_executor():
+    proc = _run_python(
+        "import sys\n"
+        "import wcikit.cli\n"
+        "heavy = ('pickle', 'concurrent.futures', 'multiprocessing')\n"
+        "print(*[name for name in heavy if name in sys.modules])\n"
+        "from wcikit import verify\n"
+        "verify.verify_prop_regular(verify.SearchBounds(2, 4, 8, 16), workers=2)\n"
+        "print(*[name for name in heavy[1:] if name in sys.modules])\n"
+    )
+    assert proc.stdout.splitlines() == ["", ""]
+
+
+def test_default_workers_is_available_parallelism(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert verify.default_workers() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert verify.default_workers() == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify.default_workers() == 1
+
+
+def test_workers_above_one_refused_without_fork(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert verify.default_workers() == 1
+    with pytest.raises(UsageError, match="os.fork"):
+        verify_prop_regular(SMALL, workers=2)
+    assert verify_prop_regular(SMALL, workers=1).instances_checked == 621
 
 
 # Every weight tuple of these windows; the lemma-qdiv one walks the divisor-2

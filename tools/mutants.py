@@ -240,6 +240,30 @@ MUTANTS = [
         "if detailed or W[-1] != 1\n",
         ["tests/test_wci.py::test_verdict_walk_skips_unit_strata"],
     ),
+    (
+        "forked run keeps stdout buffered across the fork",
+        "src/wcikit/verify.py",
+        "    sys.stdout.flush()  # else a child could print the parent's buffered text again\n",
+        "",
+        ["tests/test_verify.py::test_forked_run_prints_buffered_output_once"],
+    ),
+    (
+        "forked run leaves children unreaped on an error",
+        "src/wcikit/verify.py",
+        "            os.kill(pid, signal.SIGKILL)\n            os.waitpid(pid, 0)\n",
+        "            pass\n",
+        [
+            "tests/test_verify.py::test_forked_run_reraises_typed_errors_and_reaps",
+            "tests/test_verify.py::test_forked_run_raises_when_a_child_dies",
+        ],
+    ),
+    (
+        "forked run reads a dead child as an empty result",
+        "src/wcikit/verify.py",
+        "            if not payload:\n",
+        "            if not payload and False:\n",
+        ["tests/test_verify.py::test_forked_run_raises_when_a_child_dies"],
+    ),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "out")
