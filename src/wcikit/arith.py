@@ -114,20 +114,6 @@ def _repr_over(t: int, values: tuple[int, ...]) -> bool:
     return least is not None and t >= least
 
 
-def _repr_mask(values: tuple[int, ...], upto: int) -> int:
-    """Bit t set iff 0 <= t <= upto is representable over an ascending
-    distinct-value tuple: each Apery entry ap[r] starts the progression
-    ap[r], ap[r] + a, ... of representable targets."""
-    table = _membership_cache.get(values) or _apery(values)
-    a = len(table)
-    progression = ((1 << a * (upto // a + 1)) - 1) // ((1 << a) - 1)  # bits 0, a, 2a, ...
-    mask = 0
-    for least in table:
-        if least is not None and least <= upto:
-            mask |= progression << least
-    return mask & ((1 << upto + 1) - 1)
-
-
 def monomial_count(target: int, weights) -> int:
     """Number of monomials of weighted degree `target` in one variable per
     weight entry, i.e. the coefficient of x^target in prod 1/(1 - x^w_i).

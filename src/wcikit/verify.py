@@ -32,8 +32,8 @@ hypersurface claim's has the codim-1 multisets (f) alone.  Per table row,
 count ladders (memoized per partition) give the entries that fail
 well-formedness and those that fail Q1; at codim 1 a count of the outside
 coordinates that reach R_W decides Q2, and at codim >= 2 the degrees that no
-outside class reaches rule out the entries that hold one.  The exact Q2
-search runs only on the rows where a survivor of codim >= 2 fails Q1.  The
+outside class reaches rule out the entries that hold one.  The per-family
+Q2 check runs only on the rows where a survivor of codim >= 2 fails Q1.  The
 index and smoothness of the survivors are masks too, condition (i) read off
 the same ladder of multiples as regularity, and section counts come from one
 series per weight tuple, so a WciFamily is built only for a base locus.
@@ -56,7 +56,7 @@ from typing import NamedTuple, NoReturn
 
 from . import hilbert
 from .arith import frobenius, is_prime
-from .errors import BoundsExceededError, UsageError
+from .errors import BoundsExceededError, CeilingExceededError, UsageError
 from .pairs import Pair, _encode_run_length, encode_sides, is_regular
 from .wci import (
     WciFamily,
@@ -439,7 +439,7 @@ def _stratum_masks(universe: _Universe, ladders: dict, weights: WeightClasses, t
       is neither in R_W nor at v above it for an outside class v: such a d is
       left over in every Q2 attempt, with no class available.
     - pending: per row, the entries of codim >= 2 failing Q1 there, as
-      (row, mask) pairs; the exact Q2 search decides them.
+      (row, mask) pairs; `_stratum_outcome` decides them.
     """
     full = universe.full
     layers = [
@@ -931,6 +931,10 @@ def verify_nonvanishing(bounds: SearchBounds, workers: int | None = None) -> Ver
 def verify_hypersurface(bounds: SearchBounds, workers: int | None = None) -> VerifyReport:
     """Hypersurface amplitude inequality, Cartier nonvanishing, and base-point
     freeness of the adjoint systems in the Gorenstein case."""
+    if bounds.max_codim and bounds.max_degree > hilbert._MAX_SERIES_ORDER:
+        # Its series runs to max_degree; refuse before a partition builds a
+        # universe of O(max_degree^2) bits.
+        raise CeilingExceededError("series order", bounds.max_degree, hilbert._MAX_SERIES_ORDER)
     return _run_claim("hypersurface", bounds, workers=workers)
 
 

@@ -16,14 +16,13 @@ rows and tests which degrees are representable over W once per stratum.
 A caller that tests many degree multisets on one weight tuple (the verify
 partitions) builds a degree table, `_degree_table(weights, D)`: the rows
 without a unit weight, each with two Python-int bitmasks over the degrees
-0..D, R_W (representable over W) and B_W (exactly one monomial over the
-stratum's coordinates).  The family claims read those rows as masks over
-every degree multiset at once (`verify._stratum_masks` and
-`verify._index_masks`); where Q1 fails at codim >= 2 they call
-`_stratum_outcome`, which reads the Apery tables already built for R_W, so
-the rules are written once.  One-shot calls build no degree table (a 12-value
-weight tuple has 4,095 rows), and `space_well_formed` reads only the gcds of
-the values.
+0..D, R_W (representable over W, the parent row's R closed under the added
+value) and B_W (exactly one monomial over the stratum's coordinates).  The
+family claims read those rows as masks over every degree multiset at once
+(`verify._stratum_masks` and `verify._index_masks`); where Q1 fails at codim
+>= 2 they call `_stratum_outcome`, the one-shot rule, which asks arith's
+Apery tables.  One-shot calls build no degree table (a 12-value weight tuple
+has 4,095 rows), and `space_well_formed` reads only the gcds of the values.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .arith import _repr_mask, _repr_over, monomial_count
+from .arith import _repr_over, monomial_count
 from .errors import DomainError, UsageError
 from .pairs import Pair, _encode_run_length, encode_sides, parse_sides
 
@@ -213,10 +212,10 @@ def _degree_table(weights: WeightClasses, upto: int) -> tuple:
     has gcd > 1.  A verify partition builds one per weight tuple and reads it
     for every family; one-shot requests never do.
 
-    R comes from arith's Apery table.  B extends the parent row's (W less its
-    largest value v, carried by m coordinates; no unit weight either): a
-    degree d has one monomial iff exactly one e >= 0 puts d - e*v in the
-    parent's R, that one in the parent's B, with e = 0 when m > 1 (two
+    Both extend the parent row's (W less its largest value v, carried by m
+    coordinates; no unit weight either).  R is the parent's R closed under
+    adding v.  A degree d has one monomial iff exactly one e >= 0 puts d - e*v
+    in the parent's R, that one in the parent's B, with e = 0 when m > 1 (two
     coordinates of weight v give two monomials of every positive power)."""
     full = (1 << upto + 1) - 1
     masks = {(): (1, 1)}  # the empty stratum: one monomial, of degree 0
@@ -227,7 +226,7 @@ def _degree_table(weights: WeightClasses, upto: int) -> tuple:
             continue
         v = W[-1]
         R0, B0 = masks[W[:-1]]
-        R = _repr_mask(W, upto)
+        R = _closure(R0, v, full)
         shifted = (R << v) & full  # the d with d - e*v in R0 for some e >= 1
         if coords.count(v) > 1:
             B = B0 & ~shifted
@@ -258,144 +257,49 @@ def _excess(degrees, W: tuple[int, ...], k: int, coords: tuple[int, ...]) -> int
 #
 # Q2 asks, for the degrees left over after l pure ones, for sets S_j of exactly
 # r = k - l outside coordinates (drawn from the availability set E_j) with
-# |union over j in J of S_j| >= r + |J| - 1 for every nonempty J.  Coordinates
-# within a weight class are interchangeable, so a candidate selection is a
-# vector over coverage types K (which subset of the degrees shares an element),
-# with class capacities.  Writing z_K for the count of overlap types |K| >= 2,
-# the union bounds become  sum_K (|K cap J| - 1) z_K <= (r-1)(|J| - 1),  and a
-# profile is realizable iff the induced supplies fit the class capacities
-# (a transportation feasibility, decided by max flow).  The search over z is
-# exhaustive, so the decision is exact; the set-level union bound on the full
-# E_j is only a necessary pre-filter (it is exact for |T| <= 1 and for
-# identical availability masks, where the nested profile attains the bound).
+# |union over j in J of S_j| >= r + |J| - 1 for every nonempty J.  That holds
+# iff the E_j themselves meet the bound (`_selection_exists`).
+#
+# Only the largest l, min(rho - 1, #rep), needs trying.  Moving one more
+# representable degree from the leftover to the pure ones lowers r by one: the
+# union bound of each remaining J drops by one and the J holding that degree
+# are gone, so availability sets that pass the bound at l pass it at l + 1.
 
 
-def _transport_feasible(supplies: tuple[tuple[int, int], ...], mults: tuple[int, ...]) -> bool:
-    """Can the supplies (class-bitmask, amount) be packed into class capacities?"""
-    total = sum(a for _, a in supplies)
-    if total == 0:
-        return True
-    S, p = len(supplies), len(mults)
-    src, snk = 0, S + p + 1
-    n = snk + 1
-    cap = [[0] * n for _ in range(n)]
-    for i, (mask, amount) in enumerate(supplies):
-        cap[src][i + 1] = amount
-        for b in range(p):
-            if mask >> b & 1:
-                cap[i + 1][S + 1 + b] = amount
-    for b, m in enumerate(mults):
-        cap[S + 1 + b][snk] = m
-    flow = 0
-    while flow < total:
-        parent = [-1] * n
-        parent[src] = src
-        queue = [src]
-        for u in queue:
-            for v in range(n):
-                if parent[v] < 0 and cap[u][v] > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[snk] < 0:
-            return False
-        aug = total
-        v = snk
-        while v != src:
-            aug = min(aug, cap[parent[v]][v])
-            v = parent[v]
-        v = snk
-        while v != src:
-            u = parent[v]
-            cap[u][v] -= aug
-            cap[v][u] += aug
-            v = u
-        flow += aug
-    return True
+def _union_violation(r: int, masks, mults: tuple[int, ...]):
+    """(J, available) for the first J, by size and then lex, whose union of
+    availability masks holds fewer than r + |J| - 1 coordinates, or None.
+    masks[j] is the bitmask of outside classes available to the j-th degree,
+    mults the class multiplicities."""
+    for size in range(1, len(masks) + 1):
+        for J in combinations(range(len(masks)), size):
+            union = 0
+            for j in J:
+                union |= masks[j]
+            cap = sum(m for b, m in enumerate(mults) if union >> b & 1)
+            if cap < r + len(J) - 1:
+                return J, cap
+    return None
 
 
 @lru_cache(maxsize=100_000)
 def _selection_exists(r: int, masks: tuple[int, ...], mults: tuple[int, ...]) -> bool:
-    """Exact decision of the Q2 selection problem.
+    """Exact decision of the Q2 selection problem: the union bound on the full
+    availability sets E_j, counted in coordinates, is necessary and sufficient.
 
-    masks[j] is the bitmask of weight classes available to the j-th leftover
-    degree, mults the class multiplicities.  Exponential only in the number of
-    leftover degrees (codimension bound), with memoization across strata.
+    Sufficient, by shrinking the E_j to size r one coordinate at a time while
+    the bound holds.  f(J) = |union over J of E_j| - |J| is submodular, so if
+    J1 and J2 both contain j and are tight (f = r - 1), then f(J1 | J2) +
+    f(J1 & J2) <= 2(r - 1) with both terms >= r - 1: the tight sets holding j
+    are closed under intersection, and have a least one, T.  Let |E_j| > r.  A
+    coordinate of E_j lying in some E_i, i in T - {j}, can be dropped: it
+    stays covered in every tight set holding j, and only those can break.
+    One exists: were E_j disjoint from the other E_i of T, f(T) would be
+    |E_j| - 1 > r - 1 for T = {j}, else |E_j| - 1 + f(T - {j}) > r - 1.  With
+    no tight set holding j, any coordinate can be dropped.  Repeat until every
+    |E_j| = r (J = {j} gives |E_j| >= r), and take S_j = E_j.
     """
-    t = len(masks)
-    if t == 0:
-        return True
-    ones = [bin(J).count("1") for J in range(1 << t)]
-    # necessary: union bound on the full availability sets
-    for J in range(1, 1 << t):
-        union = 0
-        for j in range(t):
-            if J >> j & 1:
-                union |= masks[j]
-        cap = sum(m for b, m in enumerate(mults) if union >> b & 1)
-        if cap < r + ones[J] - 1:
-            return False
-    if t == 1 or all(m == masks[0] for m in masks):
-        return True
-    types = []
-    for K in range(1, 1 << t):
-        if ones[K] < 2:
-            continue
-        allowed = ~0
-        for j in range(t):
-            if K >> j & 1:
-                allowed &= masks[j]
-        if allowed:
-            types.append((K, allowed))
-    total_cap = sum(m for b, m in enumerate(mults))
-    need_mass = r * t - total_cap  # overlap mass forced by scarce capacity
-    max_mass = (r - 1) * (t - 1)
-    if need_mass > max_mass:
-        return False
-    big_J = [J for J in range(1, 1 << t) if ones[J] >= 2]
-    slack = {J: (r - 1) * (ones[J] - 1) for J in big_J}
-    per_j = [r] * t
-    z: dict[int, int] = {}
-    descending = need_mass > 0
-
-    def leaf() -> bool:
-        supplies = [(allowed, z[K]) for (K, allowed) in types if z.get(K)]
-        supplies += [(masks[j], per_j[j]) for j in range(t) if per_j[j]]
-        return _transport_feasible(tuple(supplies), mults)
-
-    def dfs(idx: int) -> bool:
-        if idx == len(types):
-            return leaf()
-        K, _allowed = types[idx]
-        cap = min(per_j[j] for j in range(t) if K >> j & 1)
-        for J in big_J:
-            w = ones[K & J] - 1
-            if w > 0:
-                cap = min(cap, slack[J] // w)
-        order = range(cap, -1, -1) if descending else range(cap + 1)
-        for zk in order:
-            if zk:
-                z[K] = zk
-                for j in range(t):
-                    if K >> j & 1:
-                        per_j[j] -= zk
-                for J in big_J:
-                    w = ones[K & J] - 1
-                    if w > 0:
-                        slack[J] -= w * zk
-            if dfs(idx + 1):
-                return True
-            if zk:
-                del z[K]
-                for j in range(t):
-                    if K >> j & 1:
-                        per_j[j] += zk
-                for J in big_J:
-                    w = ones[K & J] - 1
-                    if w > 0:
-                        slack[J] += w * zk
-        return False
-
-    return dfs(0)
+    return _union_violation(r, masks, mults) is None
 
 
 # -- quasi-smoothness -----------------------------------------------------------
@@ -453,61 +357,47 @@ def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool):
         return mask
 
     mask_of = {d: avail_mask(d) for d in set(degrees)}
-    for l in range(min(rho - 1, len(rep)), -1, -1):
-        r = k - l
-        # each multiset of l pure degrees once, the most of the largest first
-        for pure in dict.fromkeys(combinations(rep, l)):
-            leftover = _leftover(degrees, pure)
-            avail = tuple(sorted(mask_of[d] for d in leftover))
-            if avail and avail[0] == 0:
-                continue
-            if _selection_exists(r, avail, mults):
-                if not detailed:
-                    return "Q2", {}
-                witness = {
-                    "l": l,
-                    "pure_degrees": list(pure),
-                    "availability": [
-                        {
-                            "degree": d,
-                            "classes": [v for b, v in enumerate(outside) if mask_of[d] >> b & 1],
-                        }
-                        for d in sorted(set(leftover), reverse=True)
-                    ],
-                }
-                return "Q2", witness
-    if not detailed:
-        return "FAIL", {}
-    return "FAIL", _fail_diagnosis(degrees, k, rho, rep, mask_of, mults)
-
-
-def _fail_diagnosis(degrees, k, rho, rep, mask_of, mults) -> dict:
-    """Describe why neither condition holds, from the most favorable attempt."""
-    diag = {"rho": rho, "representable": len(rep)}
     l = min(rho - 1, len(rep))
     r = k - l
-    leftover = _leftover(degrees, rep[:l])
+    # each multiset of l pure degrees once, the most of the largest first
+    for pure in dict.fromkeys(combinations(rep, l)):
+        leftover = _leftover(degrees, pure)
+        if _selection_exists(r, tuple(sorted(mask_of[d] for d in leftover)), mults):
+            if not detailed:
+                return "Q2", {}
+            witness = {
+                "l": l,
+                "pure_degrees": list(pure),
+                "availability": [
+                    {
+                        "degree": d,
+                        "classes": [v for b, v in enumerate(outside) if mask_of[d] >> b & 1],
+                    }
+                    for d in sorted(set(leftover), reverse=True)
+                ],
+            }
+            return "Q2", witness
+    if not detailed:
+        return "FAIL", {}
+    return "FAIL", _fail_diagnosis(rho, rep, r, _leftover(degrees, rep[:l]), mask_of, mults)
+
+
+def _fail_diagnosis(rho, rep, r, leftover, mask_of, mults) -> dict:
+    """Why the first pure choice of `_stratum_outcome`, the first l degrees of
+    rep, fails with this leftover: a degree with no available class, else the
+    first violated union bound."""
+    diag = {"rho": rho, "representable": len(rep)}
     starved = [d for d in leftover if mask_of[d] == 0]
     if starved:
         diag["q2"] = {"reason": "no availability", "degree": max(starved), "r": r}
         return diag
-    # first violated set-level union bound, if any
-    t = len(leftover)
-    for size in range(1, t + 1):
-        for sub in combinations(range(t), size):
-            union = 0
-            for j in sub:
-                union |= mask_of[leftover[j]]
-            cap = sum(m for b, m in enumerate(mults) if union >> b & 1)
-            if cap < r + size - 1:
-                diag["q2"] = {
-                    "reason": "union bound",
-                    "degrees": sorted((leftover[j] for j in sub), reverse=True),
-                    "available": cap,
-                    "required": r + size - 1,
-                }
-                return diag
-    diag["q2"] = {"reason": "no feasible selection", "r": r}
+    J, cap = _union_violation(r, [mask_of[d] for d in leftover], mults)
+    diag["q2"] = {
+        "reason": "union bound",
+        "degrees": sorted((leftover[j] for j in J), reverse=True),
+        "available": cap,
+        "required": r + len(J) - 1,
+    }
     return diag
 
 

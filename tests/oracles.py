@@ -2,8 +2,10 @@
 
 Everything here works at the level of individual coordinates (index subsets of
 {0..n}), with no value-class grouping and no search-space reductions, so that
-agreement with the library exercises its maximal-subset reduction and its
-selection search.
+agreement with the library exercises its maximal-subset reduction and its Q2
+decision.  `_q2_subset` searches for an actual selection of coordinates, so it
+is the twin of a closed-form check: the library decides Q2 by the union bound
+on the availability sets alone (`wci._selection_exists`).
 """
 
 import json

@@ -299,6 +299,21 @@ def test_forked_run_raises_when_a_child_dies(monkeypatch):
     _assert_no_child_left()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_hypersurface_refuses_series_order_before_any_universe(monkeypatch, workers):
+    def refuse(first):
+        raise AssertionError(f"partition {first} ran")
+
+    monkeypatch.setattr(hilbert, "_MAX_SERIES_ORDER", 50)
+    _hook_partitions(monkeypatch, "hypersurface", refuse)
+    verify._degree_universe.cache_clear()
+    with pytest.raises(CeilingExceededError) as raised:
+        verify_hypersurface(SearchBounds(1, 3, 4, 60), workers=workers)
+    assert (raised.value.what, raised.value.value, raised.value.ceiling) == ("series order", 60, 50)
+    assert verify._degree_universe.cache_info().misses == 0
+    _assert_no_child_left()
+
+
 def _run_python(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)  # so stdout, a pipe, is block-buffered

@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -380,31 +380,46 @@ def test_repr_over_matches_oracle_on_every_stratum():
     assert gcd_strata > 0
 
 
+def _selection_oracle(r, masks, mults):
+    """`oracles._q2_subset` on the classes expanded into coordinates."""
+    ids, offset = [], 0
+    for m in mults:
+        ids.append(range(offset, offset + m))
+        offset += m
+    avail = [
+        tuple(e for cls, cls_ids in enumerate(ids) if mask >> cls & 1 for e in cls_ids)
+        for mask in masks
+    ]
+    return oracles._q2_subset(avail, r, tuple(range(offset)))
+
+
 @settings(max_examples=250, deadline=None)
 @given(
     r=st.integers(min_value=1, max_value=4),
-    mults=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4),
+    mults=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5),
     data=st.data(),
 )
 def test_selection_search_matches_brute_force(r, mults, data):
-    n_classes = len(mults)
-    t = data.draw(st.integers(min_value=1, max_value=3))
+    t = data.draw(st.integers(min_value=1, max_value=4))
     masks = tuple(
-        data.draw(st.integers(min_value=0, max_value=(1 << n_classes) - 1))
-        for _ in range(t)
+        data.draw(st.integers(min_value=0, max_value=(1 << len(mults)) - 1)) for _ in range(t)
     )
-    # expand classes into individual coordinates for the reference search
-    ids = []
-    offset = 0
-    for m in mults:
-        ids.append(tuple(range(offset, offset + m)))
-        offset += m
-    avail = [
-        tuple(e for cls in range(n_classes) if mask >> cls & 1 for e in ids[cls])
-        for mask in masks
-    ]
-    expected = oracles._q2_subset(avail, r, tuple(range(offset)))
-    assert _selection_exists(r, masks, tuple(mults)) == expected
+    assert _selection_exists(r, masks, tuple(mults)) == _selection_oracle(r, masks, mults)
+
+
+def test_selection_exists_matches_brute_force_exhaustively():
+    # Every input with <= 3 classes of multiplicity <= 2, t <= 3 and r <= 3.
+    checked = passing = 0
+    for n_classes in range(1, 4):
+        for mults in product((1, 2), repeat=n_classes):
+            for t in range(1, 4):
+                for masks in product(range(1 << n_classes), repeat=t):
+                    for r in range(1, 4):
+                        expected = _selection_oracle(r, masks, mults)
+                        assert _selection_exists(r, masks, mults) == expected, (r, masks, mults)
+                        checked += 1
+                        passing += expected
+    assert checked == 15_108 and 0 < passing < checked
 
 
 # -- degree tables vs the per-family path and the oracles ------------------------------

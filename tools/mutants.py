@@ -241,6 +241,27 @@ MUTANTS = [
         ["tests/test_wci.py::test_verdict_walk_skips_unit_strata"],
     ),
     (
+        "Q2 union bound asks one coordinate fewer",
+        "src/wcikit/wci.py",
+        "if cap < r + len(J) - 1:",
+        "if cap < r + len(J) - 2:",
+        [
+            "tests/test_wci.py::test_selection_search_matches_brute_force",
+            "tests/test_wci.py::test_selection_exists_matches_brute_force_exhaustively",
+            "tests/test_wci.py::test_reduction_matches_oracle_randomized",
+        ],
+    ),
+    (
+        "Q2 tried one pure degree short",
+        "src/wcikit/wci.py",
+        "    l = min(rho - 1, len(rep))\n",
+        "    l = max(min(rho - 1, len(rep)) - 1, 0)\n",
+        [
+            "tests/test_wci.py::test_reduction_matches_oracle_randomized",
+            "tests/test_acceptance.py::test_criterion_3_oracle_equivalence",
+        ],
+    ),
+    (
         "forked run keeps stdout buffered across the fork",
         "src/wcikit/verify.py",
         "    sys.stdout.flush()  # else a child could print the parent's buffered text again\n",
