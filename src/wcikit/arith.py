@@ -17,8 +17,10 @@ from functools import reduce
 
 from .errors import CeilingExceededError, DomainError, UsageError
 
-# Apery tables hold one entry per residue of the least generator.
+# Apery tables hold one entry per residue of the least generator, and a
+# monomial count one entry per degree up to its target.
 _MAX_APERY_MODULUS = 10**6
+_MAX_MONOMIAL_TARGET = 10**6
 
 
 def _check_positive(values, what: str) -> tuple[int, ...]:
@@ -123,6 +125,8 @@ def monomial_count(target: int, weights) -> int:
     ws = _check_positive(weights, "weights")
     if target < 0:
         return 0
+    if target > _MAX_MONOMIAL_TARGET:
+        raise CeilingExceededError("monomial target", target, _MAX_MONOMIAL_TARGET)
     counts = [0] * (target + 1)
     counts[0] = 1
     for w in ws:

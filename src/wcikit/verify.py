@@ -29,7 +29,7 @@ delta <= 0 is a prefix too.
 The two family claims build one degree table (`wci._degree_table`) per
 weight tuple and read it with one mask engine, over a degree universe: the
 hypersurface claim's has the codim-1 multisets (f) alone.  Per table row,
-count ladders (memoized per partition) give the entries that fail
+count ladders (memoized on the universe) give the entries that fail
 well-formedness and those that fail Q1; at codim 1 a count of the outside
 coordinates that reach R_W decides Q2, and at codim >= 2 the degrees that no
 outside class reaches rule out the entries that hold one.  The per-family
@@ -201,14 +201,16 @@ class _Universe(NamedTuple):
     codim_le: list[int]  # [c]: entries with codim <= c
     divisors: list[tuple[int, ...]]  # [a]: the g >= 2 dividing a, a <= max_weight
     full: int  # the degree mask of 0..max_degree
+    ladders: dict[int, list[int]]  # [M]: `_ladder(self, M)`, filled as asked
 
 
 @lru_cache(maxsize=16)
 def _degree_universe(max_codim: int, max_degree: int, divisor: int, max_weight: int) -> _Universe:
     """Every multiset of 1..max_codim degrees, multiples of divisor up to
     max_degree, as one bit position, sorted by (sum, ds), with its per-position
-    tables, which every count ladder (`_ladder`) reads, and the degree mask
-    full.  Built lazily: in a forked run, by the children, unless an estimate's
+    tables, which every count ladder (`_ladder`) reads, the degree mask full,
+    and an empty memo of the ladders, which lives as long as this cache entry.
+    Built lazily: in a forked run, by the children, unless an estimate's
     refinement (`_estimate`) built it first, which they then inherit."""
     values = _weight_values(max_degree, divisor=divisor)
     sizes = range(1, max_codim + 1)
@@ -229,12 +231,20 @@ def _degree_universe(max_codim: int, max_degree: int, divisor: int, max_weight: 
     divisors = [tuple(g for g in weights[2:] if a % g == 0) for a in weights]
     entries = tuple(ds for _, ds in pairs)
     full = (1 << max_degree + 1) - 1
-    return _Universe(entries, [s for s, _ in pairs], at, without, codim_le, divisors, full)
+    return _Universe(entries, [s for s, _ in pairs], at, without, codim_le, divisors, full, {})
 
 
 def _ladder(universe: _Universe, M: int) -> list[int]:
     """The count ladder of a degree bitmask M: [j], j = 0..max_codim, holds the
-    entries with at least j degrees, counted with multiplicity, in M."""
+    entries with at least j degrees, counted with multiplicity, in M.
+
+    Memoized on the universe: the masks the claims ask for (the multiples of
+    a g, R_W, its shifts and its single-monomial part, the starved degrees)
+    recur across weight tuples and partitions."""
+    memo = universe.ladders
+    ge = memo.get(M)
+    if ge is not None:
+        return ge
     max_codim = len(universe.at)
     ge = [universe.codim_le[-1]] + [0] * max_codim
     for at_p in universe.at:  # add one degree position at a time
@@ -244,6 +254,7 @@ def _ladder(universe: _Universe, M: int) -> list[int]:
                 inside |= entries
         for j in range(max_codim, 0, -1):
             ge[j] |= ge[j - 1] & inside
+    memo[M] = ge
     return ge
 
 
@@ -403,22 +414,12 @@ def _part_regular(claim: str, bounds: SearchBounds, q, first: int):
     return checked, cex, wits
 
 
-def _memo_ladder(universe: _Universe, ladders: dict[int, list[int]], M: int) -> list[int]:
-    """`_ladder(universe, M)`, kept in ladders, a family-claim partition's memo:
-    the masks M it asks for (R_W, its shifts and its single-monomial part, the
-    multiples of a gcd, the starved degrees) recur across its weight tuples."""
-    ge = ladders.get(M)
-    if ge is None:
-        ge = ladders[M] = _ladder(universe, M)
-    return ge
-
-
 def _at_least(ge: list[int], j: int) -> int:
     """A ladder's entries with at least j degrees in its mask."""
     return ge[j] if j < len(ge) else 0
 
 
-def _stratum_masks(universe: _Universe, ladders: dict, weights: WeightClasses, table, alive: int):
+def _stratum_masks(universe: _Universe, weights: WeightClasses, table, alive: int):
     """(well_formed, failed, pending) for the entries in alive, as families
     over weights, from the rows of their degree table.
 
@@ -451,7 +452,7 @@ def _stratum_masks(universe: _Universe, ladders: dict, weights: WeightClasses, t
     well_formed, failed, pending = alive, 0, []
     for row in table:
         _W, k, g, _coords, outside, mults, R, _B = row
-        ge = _memo_ladder(universe, ladders, R)
+        ge = _ladder(universe, R)
         failing = 0
         for c, dim, layer in layers:
             if g > 1 and k > dim - 1:
@@ -462,7 +463,7 @@ def _stratum_masks(universe: _Universe, ladders: dict, weights: WeightClasses, t
         if q2 and sum(mults) >= k:  # else too few outside coordinates
             avail = [q2] + [0] * k  # [j]: with j or more available coordinates
             for v, m in zip(outside, mults):
-                hit = _memo_ladder(universe, ladders, R << v & full)[1]
+                hit = _ladder(universe, R << v & full)[1]
                 for j in range(k, 0, -1):
                     avail[j] |= hit & avail[max(j - m, 0)]
             q2 &= ~avail[k]
@@ -471,47 +472,42 @@ def _stratum_masks(universe: _Universe, ladders: dict, weights: WeightClasses, t
             reach = R
             for v in outside:
                 reach |= R << v
-            failed |= failing & _memo_ladder(universe, ladders, full & ~reach)[1]
+            failed |= failing & _ladder(universe, full & ~reach)[1]
             pending.append((row, failing))
     return well_formed, failed, pending
 
 
-def _geometric_entries(
-    universe: _Universe, ladders: dict, weights: WeightClasses, table, alive: int
-) -> int:
-    """The entries in alive that are well formed and quasi-smooth families over
-    weights: the masks of `_stratum_masks`, then `_stratum_outcome` on each
-    row where a survivor fails Q1."""
-    well_formed, failed, pending = _stratum_masks(universe, ladders, weights, table, alive)
+def _geometric_families(universe: _Universe, weights: WeightClasses, max_degree: int, alive: int):
+    """({index: entries}, smooth) for the well-formed, quasi-smooth non-cones
+    among the entries in alive, as families over weights.
+
+    The masks of `_stratum_masks` give the kept families, with
+    `_stratum_outcome` run on each row where a survivor fails Q1.  Their index
+    and smoothness are `_index` and `_smooth` over the rows of
+    `_singular_strata`, read as masks: a row with g > 1 is met by the entries
+    with at most k - 1 degrees in R_W, none of them in B_W (`_excess`).  Every
+    entry it meets is singular, and it adds g to the index of those with
+    fewer than k degrees divisible by g (condition (i) fails)."""
+    table = _degree_table(weights, max_degree)
+    for v in weights.values():
+        alive &= universe.without[v]  # not a linear cone
+    well_formed, failed, pending = _stratum_masks(universe, weights, table, alive)
     kept = well_formed & ~failed
     for (W, k, _g, _coords, outside, mults, _R, _B), failing in pending:
         for i in _set_bits(failing & kept):
             if _stratum_outcome(universe.entries[i], W, k, outside, mults, False)[0] == "FAIL":
                 kept ^= 1 << i
-    return kept
-
-
-def _index_masks(universe: _Universe, ladders: dict, table, kept: int):
-    """({index: entries}, smooth) for the families in kept: `_index` and
-    `_smooth` over the rows of `_singular_strata`, read as masks.
-
-    A row with g > 1 is met by the entries with at most k - 1 degrees in R_W,
-    none of them in B_W (`_excess`).  Every entry it meets is singular, and it
-    adds g to the index of those with fewer than k degrees divisible by g
-    (condition (i) fails)."""
     if not kept:
         return {}, 0
     by_index, smooth = {1: kept}, kept
     for _W, k, g, _coords, _outside, _mults, R, B in table:
         if g == 1:
             continue
-        met = kept & ~_at_least(_memo_ladder(universe, ladders, R), k)
-        met &= ~_memo_ladder(universe, ladders, R & B)[1]
+        met = kept & ~_at_least(_ladder(universe, R), k) & ~_ladder(universe, R & B)[1]
         if not met:
             continue
         smooth &= ~met
-        multiples = _memo_ladder(universe, ladders, _closure(1, g, universe.full))
-        raised = met & ~_at_least(multiples, k)
+        raised = met & ~_at_least(_ladder(universe, _closure(1, g, universe.full)), k)
         if raised:
             split: dict[int, int] = {}
             for index, entries in by_index.items():
@@ -520,18 +516,6 @@ def _index_masks(universe: _Universe, ladders: dict, table, kept: int):
                         split[new] = split.get(new, 0) | part
             by_index = split
     return by_index, smooth
-
-
-def _geometric_families(
-    universe: _Universe, ladders: dict, weights: WeightClasses, max_degree: int, alive: int
-):
-    """({index: entries}, smooth) for the well-formed, quasi-smooth non-cones
-    among the entries in alive, as families over weights."""
-    table = _degree_table(weights, max_degree)
-    for v in weights.values():
-        alive &= universe.without[v]  # not a linear cone
-    kept = _geometric_entries(universe, ladders, weights, table, alive)
-    return _index_masks(universe, ladders, table, kept)
 
 
 def _h0(series: list[int], degrees: tuple[int, ...], h: int) -> int:
@@ -544,7 +528,6 @@ def _h0(series: list[int], degrees: tuple[int, ...], h: int) -> int:
 def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
     spec, values, universe_key = _domain(claim, bounds, q)
     universe = _degree_universe(*universe_key)
-    ladders: dict[int, list[int]] = {}
     checked = 0
     cex: list[dict] = []
     wits: list[dict] = []
@@ -555,7 +538,7 @@ def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
         sum_a = sum(weights)
         max_c = min(bounds.max_codim, len(weights) - 1)
         alive = universe.codim_le[max_c] & _sum_at_most(universe, sum_a)
-        by_index, smooth = _geometric_families(universe, ladders, classes, bounds.max_degree, alive)
+        by_index, smooth = _geometric_families(universe, classes, bounds.max_degree, alive)
         checked += sum(entries.bit_count() for entries in by_index.values())
         series = hilbert.series_coefficients((), weights, max(by_index, default=0))
         encoded = _encode_run_length(weights)
@@ -606,7 +589,6 @@ def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
     spec, values, _ = _domain(claim, bounds, q)
     # one entry (f) per degree f <= max_degree
     universe = _degree_universe(1, bounds.max_degree, 1, bounds.max_weight)
-    ladders: dict[int, list[int]] = {}
     alive = universe.codim_le[1]
     checked = 0
     cex: list[dict] = []
@@ -635,7 +617,7 @@ def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
         classes = WeightClasses.from_weights(weights)
         if not space_well_formed(classes):
             continue
-        by_index, _ = _geometric_families(universe, ladders, classes, bounds.max_degree, alive)
+        by_index, _ = _geometric_families(universe, classes, bounds.max_degree, alive)
         checked += sum(entries.bit_count() for entries in by_index.values())
         sum_a = sum(weights)
         encoded = _encode_run_length(weights)

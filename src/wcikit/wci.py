@@ -19,8 +19,8 @@ without a unit weight, each with two Python-int bitmasks over the degrees
 0..D, R_W (representable over W, the parent row's R closed under the added
 value) and B_W (exactly one monomial over the stratum's coordinates).  The
 family claims read those rows as masks over every degree multiset at once
-(`verify._stratum_masks` and `verify._index_masks`); where Q1 fails at codim
->= 2 they call `_stratum_outcome`, the one-shot rule, which asks arith's
+(`verify._stratum_masks` and `verify._geometric_families`); where Q1 fails at
+codim >= 2 they call `_stratum_outcome`, the one-shot rule, which asks arith's
 Apery tables.  One-shot calls build no degree table (a 12-value weight tuple
 has 4,095 rows), and `space_well_formed` reads only the gcds of the values.
 """
@@ -34,7 +34,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .arith import _repr_over, monomial_count
-from .errors import DomainError, UsageError
+from .errors import CeilingExceededError, DomainError, UsageError
 from .pairs import Pair, _encode_run_length, encode_sides, parse_sides
 
 
@@ -164,6 +164,11 @@ def _is_cone(degrees, weights: WeightClasses) -> bool:
 # -- stratum bookkeeping --------------------------------------------------------
 
 
+# A table has 2^n - 1 rows for n distinct values, and its memory doubles with
+# each further value (111 MB at 16), so more are refused before any row is built.
+_MAX_DISTINCT_WEIGHTS = 16
+
+
 # Small, because a table has a row per value subset (4,095 rows, 1.8 MB, at 12
 # distinct values), and enough, because the verify partitions walk every family
 # of one weight tuple before they move to the next.
@@ -174,6 +179,8 @@ def _strata(weights: WeightClasses) -> tuple:
     the values in W, g = gcd W, coords are their weights (descending), and
     outside / mults the values and multiplicities of the other classes
     (descending)."""
+    if len(weights.classes) > _MAX_DISTINCT_WEIGHTS:
+        raise CeilingExceededError("distinct weights", len(weights.classes), _MAX_DISTINCT_WEIGHTS)
     classes = weights.classes[::-1]
     top = len(classes) - 1
     rows = []

@@ -49,6 +49,19 @@ def test_monomial_count_examples():
     assert monomial_count(6, [1, 2, 3]) == 7
 
 
+def test_monomial_count_refuses_targets_over_ceiling(capsys):
+    from wcikit import cli
+
+    assert monomial_count(arith._MAX_MONOMIAL_TARGET, [arith._MAX_MONOMIAL_TARGET]) == 1
+    with pytest.raises(CeilingExceededError) as info:
+        monomial_count(arith._MAX_MONOMIAL_TARGET + 1, [2])
+    assert (info.value.what, info.value.ceiling) == ("monomial target", 10**6)
+    assert cli.run(["check", "4000000/2^3,3,5"]) == 2
+    assert "monomial target 4000000 exceeds ceiling" in capsys.readouterr().err
+    assert cli.run(["check", "1000000000/2,3,5"]) == 0  # counts no monomials
+    assert "delta: 999999990" in capsys.readouterr().out
+
+
 def test_representable_prefix_and_gaps():
     hits = [k for k in range(16) if representable(k, [3, 5])]
     assert hits == [0, 3, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15]

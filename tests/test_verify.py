@@ -163,6 +163,30 @@ def test_family_claims_match_naive_walk(claim, window):
         assert {key: got[key] for key in expected} == expected, workers
 
 
+# (claim, window, another window, the degree universe (max_codim, max_degree,
+# divisor, max_weight) that both windows walk)
+WARM_WINDOWS = [
+    ("nonvanishing", (2, 5, 6, 16), (2, 4, 6, 16), (2, 16, 1, 6)),
+    ("hypersurface", (1, 5, 8, 30), (1, 4, 8, 30), (1, 30, 1, 8)),
+]
+
+
+@pytest.mark.parametrize(
+    "claim, window, other, universe_key", WARM_WINDOWS, ids=[w[0] for w in WARM_WINDOWS]
+)
+def test_family_claims_rerun_on_a_warm_ladder_memo(claim, window, other, universe_key):
+    verify._degree_universe.cache_clear()
+    cold = CLAIMS[claim](SearchBounds(*window), workers=1).canonical_json()
+    CLAIMS[claim](SearchBounds(*other), workers=1)
+    universe = verify._degree_universe(*universe_key)
+    assert verify._degree_universe.cache_info().currsize == 1  # one universe for both
+    filled = len(universe.ladders)
+    assert filled > 0
+    warm = CLAIMS[claim](SearchBounds(*window), workers=1).canonical_json()
+    assert warm == cold
+    assert len(universe.ladders) == filled  # every ladder the rerun asked for was kept
+
+
 def test_hypersurface_checks_nothing_without_codim_one():
     window = SearchBounds(max_codim=0, max_vars=3, max_weight=3, max_degree=4)
     assert verify._estimate("hypersurface", window, None, instance_ceiling()) == 0

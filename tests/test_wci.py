@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from wcikit import verify, wci
 from wcikit.cli import check_report
-from wcikit.errors import DomainError, UsageError
+from wcikit.errors import CeilingExceededError, DomainError, UsageError
 from wcikit.hilbert import h0
 from wcikit.pairs import is_h_regular
 from wcikit.verify import FamilyFilter, SearchBounds, enumerate_instances
@@ -380,6 +380,27 @@ def test_repr_over_matches_oracle_on_every_stratum():
     assert gcd_strata > 0
 
 
+def test_strata_refuse_too_many_distinct_weights_before_any_row(monkeypatch, capsys):
+    from wcikit import cli
+
+    many = ",".join(map(str, range(2, 19)))  # 17 distinct values: 131,071 rows
+    assert cli.run(["check", f"100/{many}"]) == 2
+    assert "distinct weights 17 exceeds ceiling 16" in capsys.readouterr().err
+    weights = WeightClasses.from_weights(range(2, 19))
+    monkeypatch.setattr(wci, "math", None)  # every row needs math.gcd
+    with pytest.raises(CeilingExceededError) as raised:
+        _strata(weights)
+    assert (raised.value.what, raised.value.value, raised.value.ceiling) == (
+        "distinct weights", 17, 16
+    )
+    monkeypatch.undo()
+    monkeypatch.setattr(wci, "_MAX_DISTINCT_WEIGHTS", 3)
+    _strata.cache_clear()  # a cached table is returned without the check
+    assert len(_strata(WeightClasses.from_weights((7, 5, 3)))) == 7
+    with pytest.raises(CeilingExceededError):
+        _strata(WeightClasses.from_weights((7, 5, 3, 2)))
+
+
 def _selection_oracle(r, masks, mults):
     """`oracles._q2_subset` on the classes expanded into coordinates."""
     ids, offset = [], 0
@@ -450,18 +471,19 @@ def _small_weight_tuples(max_vars, max_weight):
             yield WeightClasses.from_weights(ws)
 
 
-def _mask_indices(universe, ladders, weights, upto, alive):
+def _mask_indices(universe, weights, upto, alive):
     """{entry: index} and the smooth entries of the geometric families among
     alive, from the family claims' masks."""
-    by_index, smooth = verify._geometric_families(universe, ladders, weights, upto, alive)
-    return {i: ix for ix, entries in by_index.items() for i in verify._set_bits(entries)}, smooth
+    by_index, smooth = verify._geometric_families(universe, weights, upto, alive)
+    index = {i: ix for ix, entries in by_index.items() for i in verify._set_bits(entries)}
+    assert len(index) == sum(entries.bit_count() for entries in by_index.values())  # one index each
+    return index, smooth
 
 
 def test_hypersurface_masks_match_per_family_predicates():
     # The engine at codim 1, over the hypersurface claim's universe.
     upto = 40
     universe = verify._degree_universe(1, upto, 1, 10)
-    ladders = {}
     families = passing = 0
     for weights in _small_weight_tuples(5, 10):
         expected = {}
@@ -475,7 +497,7 @@ def test_hypersurface_masks_match_per_family_predicates():
                 WciFamily.of(degrees, weights)
             ):
                 expected[f] = wci._index(rows)
-        index, _smooth = _mask_indices(universe, ladders, weights, upto, universe.codim_le[1])
+        index, _smooth = _mask_indices(universe, weights, upto, universe.codim_le[1])
         got = {universe.entries[i][0]: ix for i, ix in sorted(index.items())}
         assert list(got.items()) == list(expected.items()), weights
         passing += len(got)
@@ -487,7 +509,6 @@ def test_nonvanishing_masks_match_per_family_predicates():
     # the nonvanishing claim's masks against the one-shot predicates.
     upto = 16
     universe = verify._degree_universe(3, upto, 1, 6)
-    ladders = {}
     checked = by_starved = by_q1 = 0
     verdicts = set()
     for weights in _small_weight_tuples(5, 6):
@@ -495,11 +516,10 @@ def test_nonvanishing_masks_match_per_family_predicates():
         for v in weights.values():
             alive &= universe.without[v]
         table = wci._degree_table(weights, upto)
-        masks = verify._stratum_masks(universe, ladders, weights, table, alive)
-        well_formed, failed, pending = masks
-        kept = verify._geometric_entries(universe, ladders, weights, table, alive)
-        index, smooth = _mask_indices(universe, ladders, weights, upto, alive)
-        assert sorted(index) == list(verify._set_bits(kept)) and smooth & ~kept == 0
+        well_formed, failed, pending = verify._stratum_masks(universe, weights, table, alive)
+        index, smooth = _mask_indices(universe, weights, upto, alive)
+        kept = sum(1 << i for i in index)
+        assert smooth & ~kept == 0
         no_search = well_formed & ~failed
         for (W, k, _g, _coords, outside, mults, _R, _B), failing in pending:
             no_search &= ~failing

@@ -120,6 +120,16 @@ MUTANTS = [
         ["tests/test_verify.py::test_regular_mask_matches_naive_scan"],
     ),
     (
+        "ladder memo keyed by M alone, shared across universes",
+        "src/wcikit/verify.py",
+        "    memo = universe.ladders\n",
+        '    memo = _ladder.__dict__.setdefault("shared", {})\n',
+        [
+            "tests/test_verify.py::test_regular_claims_match_naive_walk",
+            "tests/test_verify.py::test_family_claims_match_naive_walk",
+        ],
+    ),
+    (
         "ladder counts a position twice",
         "src/wcikit/verify.py",
         "for j in range(max_codim, 0, -1):",
@@ -194,8 +204,8 @@ MUTANTS = [
     (
         "condition (i) read at [k - 1]",
         "src/wcikit/verify.py",
-        "raised = met & ~_at_least(multiples, k)",
-        "raised = met & ~_at_least(multiples, k - 1)",
+        "_closure(1, g, universe.full)), k)",
+        "_closure(1, g, universe.full)), k - 1)",
         [
             "tests/test_wci.py::test_hypersurface_masks_match_per_family_predicates",
             "tests/test_wci.py::test_nonvanishing_masks_match_per_family_predicates",
@@ -232,6 +242,20 @@ MUTANTS = [
         "if coords.count(v) > 1:",
         "if coords.count(v) > 2:",
         ["tests/test_wci.py::test_degree_table_masks_match_oracle"],
+    ),
+    (
+        "stratum table ceiling admits one value more",
+        "src/wcikit/wci.py",
+        "if len(weights.classes) > _MAX_DISTINCT_WEIGHTS:",
+        "if len(weights.classes) > _MAX_DISTINCT_WEIGHTS + 1:",
+        ["tests/test_wci.py::test_strata_refuse_too_many_distinct_weights_before_any_row"],
+    ),
+    (
+        "monomial count ceiling admits one target more",
+        "src/wcikit/arith.py",
+        "if target > _MAX_MONOMIAL_TARGET:",
+        "if target > _MAX_MONOMIAL_TARGET + 1:",
+        ["tests/test_arith.py::test_monomial_count_refuses_targets_over_ceiling"],
     ),
     (
         "unit-stratum skip tested on W[-1]",
