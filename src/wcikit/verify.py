@@ -26,17 +26,21 @@ one by one.  The three regular-pair claims share that worker,
 records.  The nonvanishing claim walks the same kind of universe, where
 delta <= 0 is a prefix too.
 
-The two family claims build one degree table (`wci._degree_table`) per
-weight tuple and read it with one mask engine, over a degree universe: the
-hypersurface claim's has the codim-1 multisets (f) alone.  Per table row,
-count ladders (memoized on the universe) give the entries that fail
-well-formedness and those that fail Q1; at codim 1 a count of the outside
-coordinates that reach R_W decides Q2, and at codim >= 2 the degrees that no
-outside class reaches rule out the entries that hold one.  The per-family
-Q2 check runs only on the rows where a survivor of codim >= 2 fails Q1.  The
-index and smoothness of the survivors are masks too, condition (i) read off
-the same ladder of multiples as regularity, and section counts come from one
-series per weight tuple, so a WciFamily is built only for a base locus.
+The two family claims walk the weight tuples as a prefix tree as well
+(`_family_tuples`).  Each node carries a degree table, one immutable record
+per stratum without a unit weight with its masks R_W and B_W and the ladder
+of R_W, and the series of 1/prod(1 - t^a); a child shares its parent's
+records and adds or replaces only those its appended weight changes.  One
+mask engine reads a node's records over a degree universe: the hypersurface
+claim's has the codim-1 multisets (f) alone.  Per record, count ladders
+(memoized on the universe) give the entries that fail well-formedness and
+those that fail Q1; at codim 1 a count of the outside coordinates that reach
+R_W decides Q2, and at codim >= 2 the degrees that no outside class reaches
+rule out the entries that hold one.  The per-family Q2 check runs only on
+the rows where a survivor of codim >= 2 fails Q1.  The index and smoothness
+of the survivors are masks too, condition (i) read off the same ladder of
+multiples as regularity.  The hypersurface claim's base loci are bit tests
+on the same records, so a WciFamily is built only for a counterexample.
 """
 
 from __future__ import annotations
@@ -50,20 +54,18 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial, reduce
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from time import perf_counter
 from typing import NamedTuple, NoReturn
 
 from . import hilbert
-from .arith import frobenius, is_prime
+from .arith import _repr_over, frobenius, is_prime
 from .errors import BoundsExceededError, CeilingExceededError, UsageError
 from .pairs import Pair, _encode_run_length, encode_sides, is_regular
 from .wci import (
     WciFamily,
     WeightClasses,
     _base_locus,
-    _closure,
-    _degree_table,
     _geometry,
     _stratum_outcome,
     canonical_degree,
@@ -211,16 +213,24 @@ def _degree_universe(max_codim: int, max_degree: int, divisor: int, max_weight: 
     tables, which every count ladder (`_ladder`) reads, the degree mask full,
     and an empty memo of the ladders, which lives as long as this cache entry.
     Built lazily: in a forked run, by the children, unless an estimate's
-    refinement (`_estimate`) built it first, which they then inherit."""
+    refinement (`_estimate`) built it first, which they then inherit.
+
+    Each table is set bit by bit in one bytearray per (position, degree) and
+    per codim, and read as one int at the end."""
     values = _weight_values(max_degree, divisor=divisor)
     sizes = range(1, max_codim + 1)
     pairs = sorted((sum(ds), ds) for c in sizes for ds in combinations_with_replacement(values, c))
-    at: list[dict[int, int]] = [{} for _ in sizes]
-    codim_le = [0] * (max_codim + 1)
+    sums = [s for s, _ in pairs]
+    size = (len(pairs) >> 3) + 1
+    columns = [{d: bytearray(size) for d in values} for _ in range(max_codim)]  # [p][d], as `at`
+    codim_is = [bytearray(size) for _ in range(max_codim + 1)]  # [c]: entries with codim c
     for i, (_, ds) in enumerate(pairs):
-        for at_p, d in zip(at, ds):
-            at_p[d] = at_p.get(d, 0) | 1 << i
-        codim_le[len(ds)] |= 1 << i
+        byte, bit = i >> 3, 1 << (i & 7)
+        for column, d in zip(columns, ds):
+            column[d][byte] |= bit
+        codim_is[len(ds)][byte] |= bit
+    at = [{d: int.from_bytes(col, "little") for d, col in column.items()} for column in columns]
+    codim_le = [int.from_bytes(col, "little") for col in codim_is]
     for c in sizes:
         codim_le[c] |= codim_le[c - 1]
     weights = range(max_weight + 1)
@@ -231,7 +241,7 @@ def _degree_universe(max_codim: int, max_degree: int, divisor: int, max_weight: 
     divisors = [tuple(g for g in weights[2:] if a % g == 0) for a in weights]
     entries = tuple(ds for _, ds in pairs)
     full = (1 << max_degree + 1) - 1
-    return _Universe(entries, [s for s, _ in pairs], at, without, codim_le, divisors, full, {})
+    return _Universe(entries, sums, at, without, codim_le, divisors, full, {})
 
 
 def _ladder(universe: _Universe, M: int) -> list[int]:
@@ -256,6 +266,15 @@ def _ladder(universe: _Universe, M: int) -> list[int]:
             ge[j] |= ge[j - 1] & inside
     memo[M] = ge
     return ge
+
+
+def _closure(mask: int, v: int, full: int) -> int:
+    """The degrees t + e*v (e >= 0) for t in mask, within full: by doubling."""
+    step = v
+    while step < full.bit_length():
+        mask = (mask | mask << step) & full
+        step <<= 1
+    return mask
 
 
 # (universe key, g) -> its `_requirement_bits`, built when g is first required.
@@ -419,9 +438,110 @@ def _at_least(ge: list[int], j: int) -> int:
     return ge[j] if j < len(ge) else 0
 
 
-def _stratum_masks(universe: _Universe, weights: WeightClasses, table, alive: int):
+def _family_tuples(universe: _Universe, values: list[int], first: int, min_len: int, max_len: int):
+    """(weights, classes, rows, series) for the canonical weight tuples led by
+    first, with min_len..max_len entries from values (descending).
+
+    The tuples are walked as a prefix tree, as in `_regular_tuples`: a child
+    appends a weight a no larger than the last one.  Its classes are indexed
+    in the order their values first appear, so a class index never changes.
+    rows holds one record (wmask, k, g, R, B, ge, W, D) per value subset W
+    without the unit weight: the bits of wmask are W's class indices (the
+    unset ones are the outside classes), k coordinates carry W, g = gcd W, R
+    and B are bitmasks over the degrees 0..max_degree, R the degrees
+    representable over W and B those with exactly one monomial over W's
+    coordinates, ge is `_ladder(universe, R)`, W is ascending and D holds the
+    values of W with multiplicity >= 2.  Over a unit weight every degree is
+    representable, so the quasi-smoothness verdict skips those strata and none
+    has gcd > 1.  series is that of 1/prod(1 - t^a) to order max_degree.
+
+    Records are immutable, and a child shares its parent's.  A new value a
+    adds the row {a} and W + {a} per row W, with R closed under adding a and
+    B by the one-coordinate rule: a degree d has one monomial iff exactly one
+    e >= 0 puts d - e*a in R_W, that one in B_W.  A repeated a gives the rows
+    holding it k + 1, and on its first repeat B is W less a's B less the d
+    with d - a in R (two coordinates of weight a give two monomials of every
+    positive power of a).  R depends on W alone and B on W and D, so (R, B,
+    ge) come from a memo keyed by (W, D) that lives as long as the walk.  A
+    child's series is its parent's times 1/(1 - t^a): one prefix sum per
+    residue of a.
+    """
+    full = universe.full
+    memo: dict[tuple, tuple] = {}  # (W, D) -> (R, B, ge)
+    empty = (0, 0, 0, 1, 1, None, (), ())  # the empty stratum: one monomial, of degree 0
+
+    def added(rows: tuple, a: int, bit: int) -> tuple:
+        """{a}, then W + {a} for each row W, for a new value a of class bit."""
+        out = []
+        for wmask, k, g, R0, B0, _ge, W0, D in (empty,) + rows:
+            W = (a,) + W0  # a is below every value of W0
+            key = W, D
+            got = memo.get(key)
+            if got is None:
+                R = _closure(R0, a, full)
+                B = _closure(B0, a, full) & ~_closure(R0 & R << a, a, full)
+                got = memo[key] = R, B, _ladder(universe, R)
+            out.append((wmask | bit, k + 1, math.gcd(g, a), *got, W, D))
+        return rows + tuple(out)
+
+    def repeated(rows: tuple, a: int, m: int) -> tuple:
+        """The rows after a further coordinate of weight a, the last class,
+        which m coordinates carried: those holding a are the last half and
+        one, {a} first and then W + {a} in the order of the rows W before."""
+        base = len(rows) // 2
+        out = list(rows[:base])
+        for (_wm, _k, _g, _R, B0, _ge, _W, _D), row in zip((empty,) + rows[:base], rows[base:]):
+            wmask, k, g, R, B, ge, W, D = row
+            if m == 1:
+                D = (a,) + D
+                got = memo.get((W, D))
+                if got is None:
+                    got = memo[W, D] = R, B0 & ~(R << a), ge
+                R, B, ge = got
+            out.append((wmask, k + 1, g, R, B, ge, W, D))
+        return tuple(out)
+
+    # Preorder, depth first: a node's children are pushed last-first.  No
+    # recursive closure holds the memo, so it is freed when the walk ends.
+    stack = [((), (), (), [1] + [0] * (full.bit_length() - 1), values.index(first))]
+    while stack:
+        weights, classes, rows, series, j = stack.pop()
+        a = values[j]
+        weights += (a,)
+        if classes and classes[-1][0] == a:
+            m = classes[-1][1]
+            classes = classes[:-1] + ((a, m + 1),)
+            if a > 1:
+                rows = repeated(rows, a, m)
+        else:
+            classes += ((a, 1),)
+            if a > 1:
+                rows = added(rows, a, 1 << len(classes) - 1)
+        series = _divide(series, a)
+        if len(weights) >= min_len:
+            yield weights, WeightClasses(classes), rows, series
+        if len(weights) < max_len:
+            stack += [(weights, classes, rows, series, i) for i in range(len(values) - 1, j - 1, -1)]
+
+
+def _outside(classes: WeightClasses, wmask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(values, multiplicities) of the classes outside a row, descending: the
+    unset bits of its wmask."""
+    out = [vm for b, vm in enumerate(classes.classes) if not wmask >> b & 1]
+    return tuple(v for v, _ in out), tuple(m for _, m in out)
+
+
+def _divide(series: list[int], a: int) -> list[int]:
+    """series times 1/(1 - t^a): a prefix sum along each residue of a."""
+    out = series[:]
+    for r in range(min(a, len(out))):
+        out[r::a] = accumulate(out[r::a])
+    return out
+
+
+def _stratum_masks(universe: _Universe, classes: WeightClasses, rows: tuple, alive: int):
     """(well_formed, failed, pending) for the entries in alive, as families
-    over weights, from the rows of their degree table.
+    over classes, from the rows of their walk node (`_family_tuples`).
 
     Each is exact: the rules of `_excess` / `_well_formed` and of
     `_stratum_outcome` read as masks, where a codim-c entry ds has
@@ -439,30 +559,35 @@ def _stratum_masks(universe: _Universe, weights: WeightClasses, table, alive: in
       c >= 2 an entry failing Q1 fails the row when it holds a degree d that
       is neither in R_W nor at v above it for an outside class v: such a d is
       left over in every Q2 attempt, with no class available.
-    - pending: per row, the entries of codim >= 2 failing Q1 there, as
-      (row, mask) pairs; `_stratum_outcome` decides them.
+    - pending: per row, the entries of codim >= 2 failing Q1 there that no
+      earlier row ruled out, as (row, mask) pairs; `_stratum_outcome`
+      decides them.
     """
     full = universe.full
+    total = classes.total
+    bits = [(1 << b, v, m) for b, (v, m) in enumerate(classes.classes)]
     layers = [
-        (c, weights.total - 1 - c, alive & universe.codim_le[c] & ~universe.codim_le[c - 1])
+        (c, total - 1 - c, alive & universe.codim_le[c] & ~universe.codim_le[c - 1])
         for c in range(1, len(universe.at) + 1)
     ]
     layers = [layer for layer in layers if layer[2]]
     single = alive & universe.codim_le[1]
     well_formed, failed, pending = alive, 0, []
-    for row in table:
-        _W, k, g, _coords, outside, mults, R, _B = row
-        ge = _ladder(universe, R)
+    for row in rows:
+        wmask, k, g, R, _B, ge, _W, _D = row
         failing = 0
         for c, dim, layer in layers:
             if g > 1 and k > dim - 1:
                 well_formed &= ~(layer & ~_at_least(ge, min(k - 1, k - dim) + 1))
-            failing |= layer & ~_at_least(ge, min(c, k))
-        q2 = failing & single & well_formed & ~failed
-        failing &= ~single
-        if q2 and sum(mults) >= k:  # else too few outside coordinates
+            failing |= layer & ~ge[min(c, k)]  # c <= max_codim
+        failing &= well_formed & ~failed  # the others are out already
+        q2 = failing & single
+        failing ^= q2
+        if q2 and total - k >= k:  # else too few outside coordinates
             avail = [q2] + [0] * k  # [j]: with j or more available coordinates
-            for v, m in zip(outside, mults):
+            for bit, v, m in bits:
+                if wmask & bit:
+                    continue  # an inside class
                 hit = _ladder(universe, R << v & full)[1]
                 for j in range(k, 0, -1):
                     avail[j] |= hit & avail[max(j - m, 0)]
@@ -470,16 +595,18 @@ def _stratum_masks(universe: _Universe, weights: WeightClasses, table, alive: in
         failed |= q2
         if failing:
             reach = R
-            for v in outside:
-                reach |= R << v
+            for bit, v, _m in bits:
+                if not wmask & bit:
+                    reach |= R << v
             failed |= failing & _ladder(universe, full & ~reach)[1]
             pending.append((row, failing))
     return well_formed, failed, pending
 
 
-def _geometric_families(universe: _Universe, weights: WeightClasses, max_degree: int, alive: int):
+def _geometric_families(universe: _Universe, classes: WeightClasses, rows: tuple, alive: int):
     """({index: entries}, smooth) for the well-formed, quasi-smooth non-cones
-    among the entries in alive, as families over weights.
+    among the entries in alive, as families over classes, whose walk node
+    (`_family_tuples`) holds rows.
 
     The masks of `_stratum_masks` give the kept families, with
     `_stratum_outcome` run on each row where a survivor fails Q1.  Their index
@@ -488,22 +615,21 @@ def _geometric_families(universe: _Universe, weights: WeightClasses, max_degree:
     with at most k - 1 degrees in R_W, none of them in B_W (`_excess`).  Every
     entry it meets is singular, and it adds g to the index of those with
     fewer than k degrees divisible by g (condition (i) fails)."""
-    table = _degree_table(weights, max_degree)
-    for v in weights.values():
+    for v in classes.values():
         alive &= universe.without[v]  # not a linear cone
-    well_formed, failed, pending = _stratum_masks(universe, weights, table, alive)
+    well_formed, failed, pending = _stratum_masks(universe, classes, rows, alive)
     kept = well_formed & ~failed
-    for (W, k, _g, _coords, outside, mults, _R, _B), failing in pending:
+    for (wmask, k, _g, _R, _B, _ge, W, _D), failing in pending:
         for i in _set_bits(failing & kept):
-            if _stratum_outcome(universe.entries[i], W, k, outside, mults, False)[0] == "FAIL":
+            if _stratum_outcome(universe.entries[i], W, k, *_outside(classes, wmask), False)[0] == "FAIL":
                 kept ^= 1 << i
     if not kept:
         return {}, 0
     by_index, smooth = {1: kept}, kept
-    for _W, k, g, _coords, _outside, _mults, R, B in table:
+    for _wmask, k, g, _R, B, ge, _W, _D in rows:
         if g == 1:
             continue
-        met = kept & ~_at_least(_ladder(universe, R), k) & ~_ladder(universe, R & B)[1]
+        met = kept & ~_at_least(ge, k) & ~_ladder(universe, B)[1]  # B lies inside R
         if not met:
             continue
         smooth &= ~met
@@ -531,16 +657,18 @@ def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
     checked = 0
     cex: list[dict] = []
     wits: list[dict] = []
-    for weights in _tuples_with_first(first, values, spec.min_len, bounds.max_vars):
-        classes = WeightClasses.from_weights(weights)
+    walk = _family_tuples(universe, values, first, spec.min_len, bounds.max_vars)
+    for weights, classes, rows, series in walk:
         if not space_well_formed(classes):
             continue
         sum_a = sum(weights)
         max_c = min(bounds.max_codim, len(weights) - 1)
         alive = universe.codim_le[max_c] & _sum_at_most(universe, sum_a)
-        by_index, smooth = _geometric_families(universe, classes, bounds.max_degree, alive)
+        by_index, smooth = _geometric_families(universe, classes, rows, alive)
         checked += sum(entries.bit_count() for entries in by_index.values())
-        series = hilbert.series_coefficients((), weights, max(by_index, default=0))
+        top = max(by_index, default=0)
+        if top >= len(series):  # an index above max_degree
+            series = reduce(_divide, weights, [1] + [0] * top)
         encoded = _encode_run_length(weights)
         c1 = classes.multiplicity(1)
         for index, entries in by_index.items():
@@ -585,6 +713,21 @@ def _pairwise_gcd_lcm(weights: tuple[int, ...]) -> int:
     return h
 
 
+def _base_locus_rows(rows: tuple, f: int, ell: int, max_degree: int):
+    """The W, lazily, of the strata that the general hypersurface of degree f
+    meets and that lie in the base locus of |O(ell)|, from its walk node's
+    rows: `_base_locus`'s hits, less the unit strata, which represent every
+    ell.  A stratum lies in the base locus iff ell is not representable over
+    W (a bit of R_W up to max_degree), and is met iff f is not representable
+    over W or, with k >= 2, has more than one monomial there (`_excess` at
+    codim 1)."""
+    for _wmask, k, _g, R, B, _ge, W, _D in rows:
+        if (not R >> f & 1 or k >= 2 and not B >> f & 1) and not (
+            R >> ell & 1 if ell <= max_degree else _repr_over(ell, W)
+        ):
+            yield W
+
+
 def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
     spec, values, _ = _domain(claim, bounds, q)
     # one entry (f) per degree f <= max_degree
@@ -592,7 +735,8 @@ def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
     alive = universe.codim_le[1]
     checked = 0
     cex: list[dict] = []
-    for weights in _tuples_with_first(first, values, spec.min_len, bounds.max_vars):
+    walk = _family_tuples(universe, values, first, spec.min_len, bounds.max_vars)
+    for weights, classes, rows, series in walk:
         # (a) the amplitude inequality for the lcm degree
         h = _pairwise_gcd_lcm(weights)
         if all(h % a != 0 for a in weights):
@@ -614,42 +758,37 @@ def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
                         }
                     )
         # (b), (c): quasi-smooth well-formed non-cone hypersurfaces
-        classes = WeightClasses.from_weights(weights)
         if not space_well_formed(classes):
             continue
-        by_index, _ = _geometric_families(universe, classes, bounds.max_degree, alive)
+        by_index, _ = _geometric_families(universe, classes, rows, alive)
         checked += sum(entries.bit_count() for entries in by_index.values())
         sum_a = sum(weights)
-        encoded = _encode_run_length(weights)
         # h0(O(h)) on X_f is P[h] - P[h - f], P the series of 1/prod(1 - t^a)
-        series = hilbert.series_coefficients((), weights, bounds.max_degree)
         for index, entries in by_index.items():
             for i in _set_bits(entries):
                 f = universe.sums[i]
-                enc = encode_sides((f,), encoded)
                 delta = f - sum_a
                 start = (max(delta, 0) // index + 1) * index  # least multiple > max(delta, 0)
                 for h_prime in range(start, bounds.max_degree + 1, index):
                     if series[h_prime] - (series[h_prime - f] if h_prime >= f else 0) < 1:
+                        enc = encode_sides((f,), _encode_run_length(weights))
                         cex.append({"part": "b", "family": enc, "h_prime": h_prime, "h0": 0})
                 if delta % index == 0:
-                    family = WciFamily((f,), classes)
                     n = len(weights) - 1
                     for m in range(n, n + 3):
                         ell = delta + m * index
-                        if ell < 1:
-                            continue  # trivial or empty system; nothing to base-lock
-                        components = _base_locus(family, ell)
-                        if components:
-                            cex.append(
-                                {
-                                    "part": "c",
-                                    "family": enc,
-                                    "ell": ell,
-                                    "m": m,
-                                    "components": [list(comp.values) for comp in components],
-                                }
-                            )
+                        if ell < 1 or not any(_base_locus_rows(rows, f, ell, bounds.max_degree)):
+                            continue  # an empty system, or a base-point-free one
+                        components = _base_locus(WciFamily((f,), classes), ell)
+                        cex.append(
+                            {
+                                "part": "c",
+                                "family": encode_sides((f,), _encode_run_length(weights)),
+                                "ell": ell,
+                                "m": m,
+                                "components": [list(comp.values) for comp in components],
+                            }
+                        )
     return checked, cex, []
 
 

@@ -11,18 +11,17 @@ is validated against an exhaustive all-index-subsets oracle in the test suite.
 What a stratum is (k, gcd W, its coordinate weights, the outside classes)
 depends on the weights alone, so `_strata` builds one table of rows per
 `WeightClasses`, kept in a bounded cache; every family predicate reads those
-rows and tests which degrees are representable over W once per stratum.
+rows and tests which degrees are representable over W once per stratum, and
+whether one has a single monomial there (`_one_monomial`) by the same
+representability questions, never by counting monomials.
 
-A caller that tests many degree multisets on one weight tuple (the verify
-partitions) builds a degree table, `_degree_table(weights, D)`: the rows
-without a unit weight, each with two Python-int bitmasks over the degrees
-0..D, R_W (representable over W, the parent row's R closed under the added
-value) and B_W (exactly one monomial over the stratum's coordinates).  The
-family claims read those rows as masks over every degree multiset at once
-(`verify._stratum_masks` and `verify._geometric_families`); where Q1 fails at
-codim >= 2 they call `_stratum_outcome`, the one-shot rule, which asks arith's
-Apery tables.  One-shot calls build no degree table (a 12-value weight tuple
-has 4,095 rows), and `space_well_formed` reads only the gcds of the values.
+The verify partitions, which test many degree multisets per weight tuple,
+keep their own degree tables instead: records with bitmasks over all degrees
+up to a bound, extended weight by weight along a prefix walk of the weight
+tuples (`verify._family_tuples`).  Where Q1 fails at codim >= 2 they call
+`_stratum_outcome`, the one-shot rule, which asks arith's Apery tables.
+One-shot calls build no degree table (a 12-value weight tuple has 4,095
+rows), and `space_well_formed` reads only the gcds of the values.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .arith import _repr_over, monomial_count
+from .arith import _repr_over
 from .errors import CeilingExceededError, DomainError, UsageError
 from .pairs import Pair, _encode_run_length, encode_sides, parse_sides
 
@@ -170,8 +169,8 @@ _MAX_DISTINCT_WEIGHTS = 16
 
 
 # Small, because a table has a row per value subset (4,095 rows, 1.8 MB, at 12
-# distinct values), and enough, because the verify partitions walk every family
-# of one weight tuple before they move to the next.
+# distinct values), and enough, because `verify.enumerate_instances` walks every
+# family of one weight tuple before it moves to the next.
 @lru_cache(maxsize=16)
 def _strata(weights: WeightClasses) -> tuple:
     """One row (W, k, g, coords, outside, mults) per nonempty subset W of the
@@ -201,52 +200,34 @@ def _strata(weights: WeightClasses) -> tuple:
     return tuple(rows)
 
 
-def _closure(mask: int, v: int, full: int) -> int:
-    """The degrees t + e*v (e >= 0) for t in mask, within full: by doubling."""
-    step = v
-    while step < full.bit_length():
-        mask = (mask | mask << step) & full
-        step <<= 1
-    return mask
-
-
-def _degree_table(weights: WeightClasses, upto: int) -> tuple:
-    """The rows of `_strata(weights)` without a unit weight, in lex order, each
-    extended by two bitmasks over the degrees 0..upto: R, the degrees
-    representable over W, and B, the degrees with exactly one monomial over
-    the stratum's coordinates.  Over a unit weight every degree is
-    representable, so the quasi-smoothness verdict skips those strata and none
-    has gcd > 1.  A verify partition builds one per weight tuple and reads it
-    for every family; one-shot requests never do.
-
-    Both extend the parent row's (W less its largest value v, carried by m
-    coordinates; no unit weight either).  R is the parent's R closed under
-    adding v.  A degree d has one monomial iff exactly one e >= 0 puts d - e*v
-    in the parent's R, that one in the parent's B, with e = 0 when m > 1 (two
-    coordinates of weight v give two monomials of every positive power)."""
-    full = (1 << upto + 1) - 1
-    masks = {(): (1, 1)}  # the empty stratum: one monomial, of degree 0
-    rows = []
-    for row in _strata(weights):
-        W, k, g, coords, outside, mults = row
-        if W[0] == 1:
-            continue
-        v = W[-1]
-        R0, B0 = masks[W[:-1]]
-        R = _closure(R0, v, full)
-        shifted = (R << v) & full  # the d with d - e*v in R0 for some e >= 1
-        if coords.count(v) > 1:
-            B = B0 & ~shifted
-        else:
-            B = _closure(B0, v, full) & ~_closure(R0 & shifted, v, full)
-        masks[W] = R, B
-        rows.append(row + (R, B))
-    return tuple(rows)
-
-
 def _rep(degrees: tuple[int, ...], W: tuple[int, ...]) -> list[int]:
     """The degrees representable over W, in order: those that cut its stratum."""
     return [d for d in degrees if _repr_over(d, W)]
+
+
+def _one_monomial(d: int, W: tuple[int, ...], coords: tuple[int, ...]) -> bool:
+    """Has degree d exactly one monomial in coordinates of weights coords, whose
+    distinct values are W (ascending)?
+
+    Decided on the distinct values, the largest v first: the monomials are
+    v^e times one of d - e*v over the rest.  Two coordinates of weight v give
+    two monomials of every positive power, so then only e = 0 may leave a
+    representable remainder; with one coordinate exactly one e may, and the
+    question moves to that remainder over the rest."""
+    while W:
+        v, rest = W[-1], W[:-1]
+        if coords.count(v) == 1:  # the least e leaving a remainder representable over the rest
+            if rest:
+                e = next((e for e in range(d // v + 1) if _repr_over(d - e * v, rest)), None)
+            else:
+                e = d // v if d % v == 0 else None
+            if e is None:
+                return False  # no monomial at all
+            d -= e * v
+        if d >= v and _repr_over(d - v, W):
+            return False  # another e, or a positive power of a doubled v
+        W = rest
+    return d == 0
 
 
 def _excess(degrees, W: tuple[int, ...], k: int, coords: tuple[int, ...]) -> int | None:
@@ -255,7 +236,7 @@ def _excess(degrees, W: tuple[int, ...], k: int, coords: tuple[int, ...]) -> int
     misses it: too many degrees cut it, or one restricts to a single monomial."""
     rep = _rep(degrees, W)
     excess = (k - 1) - len(rep)
-    if excess < 0 or any(monomial_count(d, coords) == 1 for d in rep):
+    if excess < 0 or any(_one_monomial(d, W, coords) for d in rep):
         return None
     return excess
 

@@ -56,9 +56,10 @@ def test_monomial_count_refuses_targets_over_ceiling(capsys):
     with pytest.raises(CeilingExceededError) as info:
         monomial_count(arith._MAX_MONOMIAL_TARGET + 1, [2])
     assert (info.value.what, info.value.ceiling) == ("monomial target", 10**6)
-    assert cli.run(["check", "4000000/2^3,3,5"]) == 2
-    assert "monomial target 4000000 exceeds ceiling" in capsys.readouterr().err
-    assert cli.run(["check", "1000000000/2,3,5"]) == 0  # counts no monomials
+    # The geometry layer decides single monomials without counting them.
+    assert cli.run(["check", "4000000/2^3,3,5"]) == 0
+    assert "delta: 3999986" in capsys.readouterr().out
+    assert cli.run(["check", "1000000000/2,3,5"]) == 0
     assert "delta: 999999990" in capsys.readouterr().out
 
 

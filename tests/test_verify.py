@@ -209,7 +209,7 @@ def test_conjecture_counterexamples_carry_the_frobenius_bound(monkeypatch):
 def test_hypersurface_part_b_covers_every_multiple_of_the_index(monkeypatch):
     # With every section count planted at 0, part (b) reports each multiple
     # h' <= max_degree of the index i with h' > max(delta, 0), and nothing else.
-    monkeypatch.setattr(hilbert, "series_coefficients", lambda ds, ws, upto: [0] * (upto + 1))
+    monkeypatch.setattr(verify, "_divide", lambda series, a: [0] * len(series))
     window = (1, 4, 6, 18)
     expected = []
     for ds, ws in oracles._canonical_families(window):
@@ -228,7 +228,7 @@ def test_hypersurface_part_b_covers_every_multiple_of_the_index(monkeypatch):
 def test_nonvanishing_counterexamples_carry_the_index(monkeypatch):
     # With every section count planted at 0, every checked family, and only
     # those, fails the nonvanishing check at its own fundamental index.
-    monkeypatch.setattr(hilbert, "series_coefficients", lambda ds, ws, upto: [0] * (upto + 1))
+    monkeypatch.setattr(verify, "_divide", lambda series, a: [0] * len(series))
     window = (2, 4, 6, 12)
     expected = [
         (oracles._encode_pair(ds, ws), oracles.fundamental_index(ds, ws))
@@ -457,6 +457,23 @@ def test_regular_mask_matches_naive_scan(claim, window, q):
         assert len(ladder) == max_codim + 1
         for j, held in enumerate(ladder):
             assert chosen(held) == {ds for ds in entries if sum(d in M for d in ds) >= j}, (M, j)
+
+
+def test_degree_universe_tables_match_naive_or():
+    # The per-position and per-codim tables, set by byte columns, against one
+    # big-int OR per entry.
+    for key in [(3, 24, 1, 8), (2, 30, 2, 12), (1, 40, 1, 10)]:
+        max_codim = key[0]
+        universe = verify._degree_universe(*key)
+        at = [{} for _ in range(max_codim)]
+        codim_le = [0] * (max_codim + 1)
+        for i, ds in enumerate(universe.entries):
+            for p, d in enumerate(ds):
+                at[p][d] = at[p].get(d, 0) | 1 << i
+            for c in range(len(ds), max_codim + 1):
+                codim_le[c] |= 1 << i
+        assert universe.at == at and universe.codim_le == codim_le, key
+        assert codim_le[-1] == (1 << len(universe.entries)) - 1
 
 
 def test_no_universe_built_before_the_pool_forks():

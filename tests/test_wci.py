@@ -11,7 +11,7 @@ import oracles
 from wcikit import verify, wci
 from wcikit.cli import check_report
 from wcikit.errors import CeilingExceededError, DomainError, UsageError
-from wcikit.hilbert import h0
+from wcikit.hilbert import h0, series_coefficients as hilbert_series
 from wcikit.pairs import is_h_regular
 from wcikit.verify import FamilyFilter, SearchBounds, enumerate_instances
 from wcikit.wci import (
@@ -443,38 +443,68 @@ def test_selection_exists_matches_brute_force_exhaustively():
     assert checked == 15_108 and 0 < passing < checked
 
 
-# -- degree tables vs the per-family path and the oracles ------------------------------
+# -- the family walk's degree tables vs the per-family path and the oracles ------------
+
+
+def _walk(universe, values, min_len, max_len):
+    """Every node of the family claims' prefix walk, each partition in turn."""
+    for first in values:
+        yield from verify._family_tuples(universe, values, first, min_len, max_len)
+
+
+def test_one_monomial_matches_oracle_exhaustively():
+    checked = single = 0
+    for size in range(1, 5):
+        for W in combinations(range(1, 8), size):
+            for mults in product((1, 2), repeat=size):
+                coords = tuple(v for v, m in sorted(zip(W, mults), reverse=True) for _ in range(m))
+                for d in range(61):
+                    expected = oracles.monomial_count(d, coords) == 1
+                    assert wci._one_monomial(d, W, coords) == expected, (d, coords)
+                    checked += 1
+                    single += expected
+    assert checked == 57_218 and 0 < single < checked
 
 
 def test_degree_table_masks_match_oracle():
-    rng = random.Random(7)
-    upto = 40
-    tuples = [(10, 8, 6, 4), (9, 6, 6, 3, 3), (7, 5, 3, 2, 2, 2), (12, 8, 8, 8, 6, 1)]
-    tuples += [_random_family(rng, units, 10)[1] for units in (0, 0, 1) * 10]
-    single_rows = 0
-    for ws in tuples:
-        weights = WeightClasses.from_weights(ws)
-        table = wci._degree_table(weights, upto)
-        assert [row[:6] for row in table] == [row for row in _strata(weights) if row[0][0] != 1]
-        for W, _k, _g, coords, _outside, _mults, R, B in table:
-            assert R >> upto + 1 == 0 and B >> upto + 1 == 0
-            for d in range(upto + 1):
-                assert R >> d & 1 == oracles.representable(d, W), (ws, W, d)
-                assert B >> d & 1 == (oracles.monomial_count(d, coords) == 1), (ws, W, d)
-            single_rows += B != 1
-    assert single_rows > 100
+    # Every node of three windows: repeated values, unit weights, tuples led by 1.
+    tables = rows_seen = single_rows = 0
+    for max_vars, max_weight, upto, values in [
+        (6, 8, 30, [8, 7, 6, 5, 4, 3, 2, 1]),
+        (6, 12, 40, [12, 9, 8, 6, 1]),
+        (6, 10, 24, [10, 7, 5, 3, 2]),
+    ]:
+        universe = verify._degree_universe(1, upto, 1, max_weight)
+        nodes = list(_walk(universe, values, 1, max_vars))
+        assert sorted(ws for ws, *_ in nodes) == sorted(
+            ws for first in values for ws in verify._tuples_with_first(first, values, 1, max_vars)
+        )
+        for ws, classes, rows, series in nodes:
+            tables += 1
+            assert classes == WeightClasses.from_weights(ws)
+            assert series == hilbert_series((), ws, upto)
+            expected = {row[0]: row for row in _strata(classes) if row[0][0] != 1}
+            assert sorted(row[6] for row in rows) == sorted(expected), ws
+            for wmask, k, g, R, B, ge, W, D in rows:
+                _W, k_, g_, coords, outside, mults = expected[W]
+                assert (k, g) == (k_, g_)
+                assert [v for b, (v, _m) in enumerate(classes.classes) if wmask >> b & 1] == list(W[::-1])
+                assert verify._outside(classes, wmask) == (outside, mults)
+                assert D == tuple(v for v in W if classes.multiplicity(v) > 1)
+                assert ge == verify._ladder(universe, R)
+                assert R >> upto + 1 == 0 and B >> upto + 1 == 0
+                for d in range(upto + 1):
+                    assert R >> d & 1 == oracles.representable(d, W), (ws, W, d)
+                    assert B >> d & 1 == (oracles.monomial_count(d, coords) == 1), (ws, W, d)
+                rows_seen += 1
+                single_rows += B != R
+    assert tables > 3_500 and rows_seen > 30_000 and single_rows > 20_000
 
 
-def _small_weight_tuples(max_vars, max_weight):
-    for n in range(2, max_vars + 1):
-        for ws in combinations_with_replacement(range(max_weight, 0, -1), n):
-            yield WeightClasses.from_weights(ws)
-
-
-def _mask_indices(universe, weights, upto, alive):
+def _mask_indices(universe, weights, rows, alive):
     """{entry: index} and the smooth entries of the geometric families among
-    alive, from the family claims' masks."""
-    by_index, smooth = verify._geometric_families(universe, weights, upto, alive)
+    alive, from the family claims' masks over a walk node's rows."""
+    by_index, smooth = verify._geometric_families(universe, weights, rows, alive)
     index = {i: ix for ix, entries in by_index.items() for i in verify._set_bits(entries)}
     assert len(index) == sum(entries.bit_count() for entries in by_index.values())  # one index each
     return index, smooth
@@ -485,7 +515,7 @@ def test_hypersurface_masks_match_per_family_predicates():
     upto = 40
     universe = verify._degree_universe(1, upto, 1, 10)
     families = passing = 0
-    for weights in _small_weight_tuples(5, 10):
+    for _ws, weights, table, _series in _walk(universe, list(range(10, 0, -1)), 2, 5):
         expected = {}
         for f in range(1, upto + 1):
             if weights.multiplicity(f):
@@ -497,7 +527,7 @@ def test_hypersurface_masks_match_per_family_predicates():
                 WciFamily.of(degrees, weights)
             ):
                 expected[f] = wci._index(rows)
-        index, _smooth = _mask_indices(universe, weights, upto, universe.codim_le[1])
+        index, _smooth = _mask_indices(universe, weights, table, universe.codim_le[1])
         got = {universe.entries[i][0]: ix for i, ix in sorted(index.items())}
         assert list(got.items()) == list(expected.items()), weights
         passing += len(got)
@@ -511,17 +541,17 @@ def test_nonvanishing_masks_match_per_family_predicates():
     universe = verify._degree_universe(3, upto, 1, 6)
     checked = by_starved = by_q1 = 0
     verdicts = set()
-    for weights in _small_weight_tuples(5, 6):
+    for _ws, weights, table, _series in _walk(universe, list(range(6, 0, -1)), 2, 5):
         alive = universe.codim_le[min(3, weights.total - 1)]
         for v in weights.values():
             alive &= universe.without[v]
-        table = wci._degree_table(weights, upto)
         well_formed, failed, pending = verify._stratum_masks(universe, weights, table, alive)
-        index, smooth = _mask_indices(universe, weights, upto, alive)
+        index, smooth = _mask_indices(universe, weights, table, alive)
         kept = sum(1 << i for i in index)
         assert smooth & ~kept == 0
         no_search = well_formed & ~failed
-        for (W, k, _g, _coords, outside, mults, _R, _B), failing in pending:
+        for (wmask, k, _g, _R, _B, _ge, W, _D), failing in pending:
+            outside, mults = verify._outside(weights, wmask)
             no_search &= ~failing
             for i in verify._set_bits(failing):
                 assert len(universe.entries[i]) >= 2, (universe.entries[i], weights, W)
@@ -552,6 +582,42 @@ def test_nonvanishing_masks_match_per_family_predicates():
     assert {(True, True, True, False), (True, True, False, True)} <= verdicts
 
 
+def test_hypersurface_base_locus_bits_match_base_locus():
+    # Part (c) of the hypersurface claim: the strata the bit test on a walk
+    # node's rows puts in the base locus, against the one-shot base locus's
+    # components (its maximal strata), over the window (1, 5, 8, 30).  The claim
+    # asks for each Gorenstein family at ell = delta + m * index, m = n..n+2,
+    # where no stratum is hit; every ell up to 42 is asked too.
+    upto = 30
+    universe = verify._degree_universe(1, upto, 1, 8)
+    verdicts = {True: 0, False: 0}
+    gorenstein = above = spared = 0  # ell over max_degree; a hit that B spares
+    for ws, weights, table, _series in _walk(universe, list(range(8, 0, -1)), 2, 5):
+        if not space_well_formed(weights):
+            continue
+        index, _smooth = _mask_indices(universe, weights, table, universe.codim_le[1])
+        n = weights.total - 1
+        without_b = [(*row[:4], 0, *row[5:]) for row in table]
+        for i, ix in index.items():
+            f = universe.entries[i][0]
+            delta = f - sum(ws)
+            claimed = {delta + m * ix for m in range(n, n + 3)} if delta % ix == 0 else set()
+            gorenstein += bool(claimed)
+            family = WciFamily((f,), weights)
+            for ell in sorted(claimed | set(range(1, upto + 13))):
+                if ell < 1:
+                    continue
+                hits = set(verify._base_locus_rows(table, f, ell, upto))
+                maximal = {W for W in hits if not any(set(W) < set(W2) for W2 in hits)}
+                components = wci._base_locus(family, ell)
+                assert maximal == {comp.values for comp in components}, (family.encode(), ell)
+                assert not (claimed & {ell} and hits), (family.encode(), ell)
+                verdicts[bool(hits)] += 1
+                above += ell > upto
+                spared += len(hits) < len(set(verify._base_locus_rows(without_b, f, ell, upto)))
+    assert gorenstein > 500 and min(verdicts.values()) > 10_000 and above > 10_000 and spared > 100
+
+
 def test_space_well_formed_matches_oracle():
     for n in range(2, 7):
         for ws in combinations_with_replacement(range(12, 0, -1), n):
@@ -564,7 +630,7 @@ def test_one_shot_requests_build_no_degree_table(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("a one-shot request built a degree table")
 
-    monkeypatch.setattr(wci, "_degree_table", refuse)
+    monkeypatch.setattr(verify, "_family_tuples", refuse)
     assert cli.run(["check", "8,8,8/2^4,3^5,5^3", "--json"]) == 0
     assert cli.run(["check", "35/5,7,2^5,3^5"]) == 0
     assert cli.run(["base-locus", "231,231,26/11^2,7^2,3^2,1^447", "1", "--json"]) == 0

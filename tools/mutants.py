@@ -149,8 +149,8 @@ MUTANTS = [
     (
         "nonvanishing Q1 mask read at min(c, k) + 1",
         "src/wcikit/verify.py",
-        "_at_least(ge, min(c, k))",
-        "_at_least(ge, min(c, k) + 1)",
+        "~ge[min(c, k)]",
+        "~_at_least(ge, min(c, k) + 1)",
         [
             "tests/test_wci.py::test_nonvanishing_masks_match_per_family_predicates",
             "tests/test_verify.py::test_family_claims_match_naive_walk",
@@ -159,8 +159,8 @@ MUTANTS = [
     (
         "starved-degree mask misses one outside class",
         "src/wcikit/verify.py",
-        "for v in outside:\n                reach |= R << v\n",
-        "for v in outside[1:]:\n                reach |= R << v\n",
+        "for bit, v, _m in bits:",
+        "for bit, v, _m in bits[1:]:",
         [
             "tests/test_wci.py::test_nonvanishing_masks_match_per_family_predicates",
             "tests/test_verify.py::test_family_claims_match_naive_walk",
@@ -231,17 +231,71 @@ MUTANTS = [
     ),
     (
         "single-monomial mask B_W marks the degrees with no monomial",
-        "src/wcikit/wci.py",
-        "rows.append(row + (R, B))",
-        "rows.append(row + (R, full & ~R))",
+        "src/wcikit/verify.py",
+        "got = memo[key] = R, B, _ladder(universe, R)",
+        "got = memo[key] = R, full & ~R, _ladder(universe, R)",
         ["tests/test_wci.py::test_degree_table_masks_match_oracle"],
     ),
     (
         "single-monomial mask B_W ignores a doubled weight",
-        "src/wcikit/wci.py",
-        "if coords.count(v) > 1:",
-        "if coords.count(v) > 2:",
+        "src/wcikit/verify.py",
+        "            if m == 1:\n",
+        "            if m == 0:\n",
         ["tests/test_wci.py::test_degree_table_masks_match_oracle"],
+    ),
+    (
+        "first repeat keeps B",
+        "src/wcikit/verify.py",
+        "R, B0 & ~(R << a), ge",
+        "R, B, ge",
+        [
+            "tests/test_wci.py::test_degree_table_masks_match_oracle",
+            "tests/test_verify.py::test_family_claims_match_naive_walk",
+        ],
+    ),
+    (
+        "new value forgets the singleton row",
+        "src/wcikit/verify.py",
+        "W0, D in (empty,) + rows:",
+        "W0, D in rows:",
+        [
+            "tests/test_wci.py::test_degree_table_masks_match_oracle",
+            "tests/test_verify.py::test_family_claims_match_naive_walk",
+        ],
+    ),
+    (
+        "row memo keyed by W alone",
+        "src/wcikit/verify.py",
+        "            key = W, D\n",
+        "            key = W\n",
+        [
+            "tests/test_wci.py::test_degree_table_masks_match_oracle",
+            "tests/test_verify.py::test_family_claims_match_naive_walk",
+        ],
+    ),
+    (
+        "part (c) met test ignores B",
+        "src/wcikit/verify.py",
+        "or k >= 2 and not B >> f & 1)",
+        "or k >= 2)",
+        ["tests/test_wci.py::test_hypersurface_base_locus_bits_match_base_locus"],
+    ),
+    (
+        "family walk children restart at j + 1 (no repeated weight)",
+        "src/wcikit/verify.py",
+        "for i in range(len(values) - 1, j - 1, -1)]",
+        "for i in range(len(values) - 1, j, -1)]",
+        [
+            "tests/test_wci.py::test_degree_table_masks_match_oracle",
+            "tests/test_verify.py::test_family_claims_match_naive_walk",
+        ],
+    ),
+    (
+        "one-monomial test ignores a doubled weight",
+        "src/wcikit/wci.py",
+        "if coords.count(v) == 1:",
+        "if coords.count(v) >= 1:",
+        ["tests/test_wci.py::test_one_monomial_matches_oracle_exhaustively"],
     ),
     (
         "stratum table ceiling admits one value more",
