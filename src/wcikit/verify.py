@@ -2,16 +2,16 @@
 
 Every claim quantifies over canonical (sorted-descending) pairs or families
 inside a finite window, a SearchBounds.  Enumeration is partitioned by the
-largest weight entry.  With workers > 1 the partitions run on children
-forked from the calling process (`_run_forked`; fork only, so the children
-inherit its module state at the fork, and workers > 1 are refused where
-os.fork is missing), and the merged report is sorted by canonical encoding,
-so output is byte-identical for any worker count.  `enumerate_instances`
-walks the same weight-tuple domain and alone takes a FamilyFilter, which
-selects the families it lists.
+largest weight entry.  With workers = N > 1 the calling process is one of N
+processes that take partitions from one queue, the other N - 1 forked from it
+(`_run_forked`; fork only, so the children inherit its module state at the
+fork, and workers > 1 are refused where os.fork is missing), and the merged
+report is sorted by canonical encoding, so output is byte-identical for any
+worker count.  `enumerate_instances` walks the same weight-tuple domain and
+alone takes a FamilyFilter, which selects the families it lists.
 
 Every claim counts degrees with one tool.  Each degree window has one
-universe whose multisets, sorted by (sum, ds), are the bit positions of
+universe whose multisets, by ascending sum, are the bit positions of
 Python-int bitsets, and the count ladder of a degree mask M (`_ladder`) holds,
 for each j, the entries with at least j degrees in M.
 
@@ -29,10 +29,12 @@ delta <= 0 is a prefix too.
 The two family claims walk the weight tuples as a prefix tree as well
 (`_family_tuples`).  Each node carries a degree table, one immutable record
 per stratum without a unit weight with its masks R_W and B_W and the ladder
-of R_W, and the series of 1/prod(1 - t^a); a child shares its parent's
-records and adds or replaces only those its appended weight changes.  One
-mask engine reads a node's records over a degree universe: the hypersurface
-claim's has the codim-1 multisets (f) alone.  Per record, count ladders
+of R_W, the series of 1/prod(1 - t^a), and three facts it derives from its
+parent's: whether the space is well formed, the lcm of the pairwise gcds of
+the weights and their lcm.  A child shares its parent's records and adds or
+replaces only those its appended weight changes.  One mask engine reads a
+node's records over a degree universe: the hypersurface claim's has the
+codim-1 multisets (f) alone.  Per record, count ladders
 (memoized on the universe) give the entries that fail well-formedness and
 those that fail Q1; at codim 1 a count of the outside coordinates that reach
 R_W decides Q2, and at codim >= 2 the degrees that no outside class reaches
@@ -54,7 +56,7 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import accumulate, chain, combinations, combinations_with_replacement
 from time import perf_counter
 from typing import NamedTuple, NoReturn
 
@@ -69,7 +71,6 @@ from .wci import (
     _geometry,
     _stratum_outcome,
     canonical_degree,
-    space_well_formed,
 )
 
 DEFAULT_CEILING = 10**8
@@ -196,12 +197,13 @@ def _count_tuples(num_values: int, min_len: int, max_len: int) -> int:
 class _Universe(NamedTuple):
     """A degree window's multisets, one bit position each; see `_degree_universe`."""
 
-    entries: tuple[tuple[int, ...], ...]  # sorted by (sum, ds)
+    entries: tuple[tuple[int, ...], ...]  # by ascending sum, in no set order within one sum
     sums: list[int]
     at: list[dict[int, int]]  # [p][d]: entries whose p-th largest degree is d
     without: list[int]  # [v]: entries with no degree equal to v, v <= max_weight
     codim_le: list[int]  # [c]: entries with codim <= c
     divisors: list[tuple[int, ...]]  # [a]: the g >= 2 dividing a, a <= max_weight
+    multiples: list[int]  # [g]: the degree mask of the multiples of g, 1 <= g <= max_weight
     full: int  # the degree mask of 0..max_degree
     ladders: dict[int, list[int]]  # [M]: `_ladder(self, M)`, filled as asked
 
@@ -209,22 +211,30 @@ class _Universe(NamedTuple):
 @lru_cache(maxsize=16)
 def _degree_universe(max_codim: int, max_degree: int, divisor: int, max_weight: int) -> _Universe:
     """Every multiset of 1..max_codim degrees, multiples of divisor up to
-    max_degree, as one bit position, sorted by (sum, ds), with its per-position
-    tables, which every count ladder (`_ladder`) reads, the degree mask full,
-    and an empty memo of the ladders, which lives as long as this cache entry.
-    Built lazily: in a forked run, by the children, unless an estimate's
-    refinement (`_estimate`) built it first, which they then inherit.
+    max_degree, as one bit position, by ascending sum, with its per-position
+    tables, which every count ladder (`_ladder`) reads, the degree masks of
+    the multiples of each g and of 0..max_degree, and an empty memo of the
+    ladders, which lives as long as this cache entry.  Built lazily, by each
+    process of a run that walks it: in a forked run the calling process and
+    every child build their own, unless an estimate's refinement
+    (`_estimate`) built it before the fork, which the children then inherit.
 
-    Each table is set bit by bit in one bytearray per (position, degree) and
-    per codim, and read as one int at the end."""
+    The entries are bucketed by sum; no order within one sum is needed, since
+    `_sum_at_most` reads only the sums and every report is sorted by
+    `_entry_key`.  Each table is set bit by bit in one bytearray per
+    (position, degree) and per codim, and read as one int at the end."""
     values = _weight_values(max_degree, divisor=divisor)
     sizes = range(1, max_codim + 1)
-    pairs = sorted((sum(ds), ds) for c in sizes for ds in combinations_with_replacement(values, c))
-    sums = [s for s, _ in pairs]
-    size = (len(pairs) >> 3) + 1
+    by_sum: list[list[tuple[int, ...]]] = [[] for _ in range(max_codim * max_degree + 1)]
+    for c in sizes:
+        for ds in combinations_with_replacement(values, c):
+            by_sum[sum(ds)].append(ds)
+    entries = tuple(chain.from_iterable(by_sum))
+    sums = [s for s, bucket in enumerate(by_sum) for _ in bucket]
+    size = (len(entries) >> 3) + 1
     columns = [{d: bytearray(size) for d in values} for _ in range(max_codim)]  # [p][d], as `at`
     codim_is = [bytearray(size) for _ in range(max_codim + 1)]  # [c]: entries with codim c
-    for i, (_, ds) in enumerate(pairs):
+    for i, ds in enumerate(entries):
         byte, bit = i >> 3, 1 << (i & 7)
         for column, d in zip(columns, ds):
             column[d][byte] |= bit
@@ -239,9 +249,9 @@ def _degree_universe(max_codim: int, max_degree: int, divisor: int, max_weight: 
         for v in weights:
             without[v] &= ~at_p.get(v, 0)
     divisors = [tuple(g for g in weights[2:] if a % g == 0) for a in weights]
-    entries = tuple(ds for _, ds in pairs)
     full = (1 << max_degree + 1) - 1
-    return _Universe(entries, sums, at, without, codim_le, divisors, full, {})
+    multiples = [0] + [_closure(1, g, full) for g in weights[1:]]
+    return _Universe(entries, sums, at, without, codim_le, divisors, multiples, full, {})
 
 
 def _ladder(universe: _Universe, M: int) -> list[int]:
@@ -287,7 +297,7 @@ def _requirement_bits(universe_key: tuple, g: int) -> list[int]:
     bits = _match_cache.get((universe_key, g))
     if bits is None:
         universe = _degree_universe(*universe_key)
-        bits = _match_cache[universe_key, g] = _ladder(universe, _closure(1, g, universe.full))
+        bits = _match_cache[universe_key, g] = _ladder(universe, universe.multiples[g])
     return bits
 
 
@@ -438,9 +448,21 @@ def _at_least(ge: list[int], j: int) -> int:
     return ge[j] if j < len(ge) else 0
 
 
+class _Node(NamedTuple):
+    """One weight tuple of the family walk; see `_family_tuples`."""
+
+    weights: tuple[int, ...]
+    classes: WeightClasses
+    rows: tuple  # the degree table: one record per stratum without a unit weight
+    series: list[int]  # of 1/prod(1 - t^a), to order max_degree
+    well_formed: bool  # the space: `wci.space_well_formed(classes)`
+    gcd_lcm: int  # the lcm of gcd(a_s, a_t) over the pairs s < t
+    lcm: int  # the lcm of the weights
+
+
 def _family_tuples(universe: _Universe, values: list[int], first: int, min_len: int, max_len: int):
-    """(weights, classes, rows, series) for the canonical weight tuples led by
-    first, with min_len..max_len entries from values (descending).
+    """A `_Node` for each canonical weight tuple led by first, with
+    min_len..max_len entries from values (descending).
 
     The tuples are walked as a prefix tree, as in `_regular_tuples`: a child
     appends a weight a no larger than the last one.  Its classes are indexed
@@ -454,6 +476,8 @@ def _family_tuples(universe: _Universe, values: list[int], first: int, min_len: 
     values of W with multiplicity >= 2.  Over a unit weight every degree is
     representable, so the quasi-smoothness verdict skips those strata and none
     has gcd > 1.  series is that of 1/prod(1 - t^a) to order max_degree.
+    The space is well formed iff no n - 1 of its n coordinates have a common
+    factor: iff every row with g > 1 has k <= n - 2.
 
     Records are immutable, and a child shares its parent's.  A new value a
     adds the row {a} and W + {a} per row W, with R closed under adding a and
@@ -464,7 +488,11 @@ def _family_tuples(universe: _Universe, values: list[int], first: int, min_len: 
     positive power of a).  R depends on W alone and B on W and D, so (R, B,
     ge) come from a memo keyed by (W, D) that lives as long as the walk.  A
     child's series is its parent's times 1/(1 - t^a): one prefix sum per
-    residue of a.
+    residue of a.  The rows holding a are the only ones it adds or changes, so
+    its largest k of a row with g > 1 is its parent's or one of theirs.  Its
+    pairwise-gcd lcm is its parent's lcm'd with gcd(a, v) for each value v of
+    the parent, a itself included when repeated, and its lcm the parent's
+    lcm'd with a.
     """
     full = universe.full
     memo: dict[tuple, tuple] = {}  # (W, D) -> (R, B, ge)
@@ -501,13 +529,16 @@ def _family_tuples(universe: _Universe, values: list[int], first: int, min_len: 
             out.append((wmask, k + 1, g, R, B, ge, W, D))
         return tuple(out)
 
-    # Preorder, depth first: a node's children are pushed last-first.  No
-    # recursive closure holds the memo, so it is freed when the walk ends.
-    stack = [((), (), (), [1] + [0] * (full.bit_length() - 1), values.index(first))]
+    # Preorder, depth first: a node's children are pushed last-first, each as
+    # its parent's state and the index of the value it appends.  No recursive
+    # closure holds the memo, so it is freed when the walk ends.
+    stack = [(((), (), (), [1] + [0] * (full.bit_length() - 1), 0, 1, 1), values.index(first))]
     while stack:
-        weights, classes, rows, series, j = stack.pop()
+        (weights, classes, rows, series, top, gcd_lcm, lcm), j = stack.pop()
         a = values[j]
         weights += (a,)
+        gcd_lcm = math.lcm(gcd_lcm, *(math.gcd(a, v) for v, _m in classes))
+        lcm = math.lcm(lcm, a)
         if classes and classes[-1][0] == a:
             m = classes[-1][1]
             classes = classes[:-1] + ((a, m + 1),)
@@ -517,11 +548,15 @@ def _family_tuples(universe: _Universe, values: list[int], first: int, min_len: 
             classes += ((a, 1),)
             if a > 1:
                 rows = added(rows, a, 1 << len(classes) - 1)
+        if a > 1:  # the rows holding a are the last half and one
+            top = max([top] + [row[1] for row in rows[len(rows) // 2:] if row[2] > 1])
         series = _divide(series, a)
         if len(weights) >= min_len:
-            yield weights, WeightClasses(classes), rows, series
+            well_formed = top <= len(weights) - 2
+            yield _Node(weights, WeightClasses(classes), rows, series, well_formed, gcd_lcm, lcm)
         if len(weights) < max_len:
-            stack += [(weights, classes, rows, series, i) for i in range(len(values) - 1, j - 1, -1)]
+            state = weights, classes, rows, series, top, gcd_lcm, lcm
+            stack += [(state, i) for i in range(len(values) - 1, j - 1, -1)]
 
 
 def _outside(classes: WeightClasses, wmask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -633,7 +668,7 @@ def _geometric_families(universe: _Universe, classes: WeightClasses, rows: tuple
         if not met:
             continue
         smooth &= ~met
-        raised = met & ~_at_least(_ladder(universe, _closure(1, g, universe.full)), k)
+        raised = met & ~_at_least(_ladder(universe, universe.multiples[g]), k)
         if raised:
             split: dict[int, int] = {}
             for index, entries in by_index.items():
@@ -658,8 +693,8 @@ def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
     cex: list[dict] = []
     wits: list[dict] = []
     walk = _family_tuples(universe, values, first, spec.min_len, bounds.max_vars)
-    for weights, classes, rows, series in walk:
-        if not space_well_formed(classes):
+    for weights, classes, rows, series, well_formed, _gcd_lcm, _lcm in walk:
+        if not well_formed:
             continue
         sum_a = sum(weights)
         max_c = min(bounds.max_codim, len(weights) - 1)
@@ -706,13 +741,6 @@ def _part_nonvanishing(claim: str, bounds: SearchBounds, q, first: int):
     return checked, cex, wits
 
 
-def _pairwise_gcd_lcm(weights: tuple[int, ...]) -> int:
-    h = 1
-    for x, y in combinations(weights, 2):
-        h = math.lcm(h, math.gcd(x, y))
-    return h
-
-
 def _base_locus_rows(rows: tuple, f: int, ell: int, max_degree: int):
     """The W, lazily, of the strata that the general hypersurface of degree f
     meets and that lie in the base locus of |O(ell)|, from its walk node's
@@ -736,13 +764,11 @@ def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
     checked = 0
     cex: list[dict] = []
     walk = _family_tuples(universe, values, first, spec.min_len, bounds.max_vars)
-    for weights, classes, rows, series in walk:
+    for weights, classes, rows, series, well_formed, gcd_lcm, lcm in walk:
         # (a) the amplitude inequality for the lcm degree
-        h = _pairwise_gcd_lcm(weights)
-        if all(h % a != 0 for a in weights):
+        if all(gcd_lcm % a != 0 for a in weights):
             checked += 1
-            f = math.lcm(*weights)
-            lhs = f - sum(weights)
+            lhs = lcm - sum(weights)
             for s, t in combinations(range(len(weights)), 2):
                 a_s, a_t = weights[s], weights[t]
                 rhs = math.lcm(a_s, a_t) - a_s - a_t
@@ -758,7 +784,7 @@ def _part_hypersurface(claim: str, bounds: SearchBounds, q, first: int):
                         }
                     )
         # (b), (c): quasi-smooth well-formed non-cone hypersurfaces
-        if not space_well_formed(classes):
+        if not well_formed:
             continue
         by_index, _ = _geometric_families(universe, classes, rows, alive)
         checked += sum(entries.bit_count() for entries in by_index.values())
@@ -905,11 +931,21 @@ def _run_partition(args):
     return _CLAIM_SPECS[args[0]].part(*args)
 
 
+def _take(tasks: list, task_r: int) -> list:
+    """[(number, result)] of the partitions whose numbers this process reads
+    from task_r until the pipe is empty."""
+    done = []
+    while number := os.read(task_r, 4):  # whole numbers: each write is atomic
+        i = int.from_bytes(number, "little")
+        done.append((i, _run_partition(tasks[i])))
+    return done
+
+
 def _serve(tasks: list, task_r: int, result_w: int, inherited: set[int]) -> NoReturn:
-    """A forked child's whole life: run the partitions whose numbers it reads
-    from task_r until the pipe is empty, write one pickle of its
-    [(number, result)], or of the exception raised, to result_w, and exit
-    without ever returning into the caller's stack."""
+    """A forked child's whole life: run the partitions it takes from task_r
+    (`_take`), write one pickle of its [(number, result)], or of the exception
+    raised, to result_w, and exit without ever returning into the caller's
+    stack."""
     status = 1
     try:
         import pickle
@@ -917,11 +953,7 @@ def _serve(tasks: list, task_r: int, result_w: int, inherited: set[int]) -> NoRe
         for fd in inherited:  # the task pipe must reach EOF once the parent is done
             os.close(fd)
         try:
-            done = []
-            while number := os.read(task_r, 4):  # whole numbers: each write is atomic
-                i = int.from_bytes(number, "little")
-                done.append((i, _run_partition(tasks[i])))
-            payload = pickle.dumps(done)
+            payload = pickle.dumps(_take(tasks, task_r))
         except Exception as exc:  # the parent re-raises it
             payload = pickle.dumps(exc)
         with open(result_w, "wb") as out:
@@ -934,14 +966,17 @@ def _serve(tasks: list, task_r: int, result_w: int, inherited: set[int]) -> NoRe
 
 
 def _run_forked(tasks: list, workers: int) -> list:
-    """`_run_partition` over tasks on min(workers, len(tasks)) forked children,
-    results in task order.
+    """`_run_partition` over tasks on min(workers, len(tasks)) processes, this
+    one and the others forked from it, results in task order.
 
-    The children inherit this process's module state at the fork and take
-    task numbers from one pipe as they go idle.  A child's exception is
-    raised here with its type; a child that exits without a result makes the
-    run raise.  Every child is reaped before this returns or raises, those
-    still running killed first."""
+    The children inherit this process's module state at the fork.  Every
+    process takes task numbers from one pipe as it goes idle, this one once it
+    has queued them all, and this one keeps its own results as they are.  The
+    queue never blocks: where the pipe is full, this process runs the task it
+    could not queue, so a child that died cannot stall it.  A child's
+    exception is raised here with its type; a child that exits without a
+    result makes the run raise.  Every child is reaped before this returns or
+    raises, those still running killed first."""
     import pickle
     import signal
 
@@ -956,7 +991,7 @@ def _run_forked(tasks: list, workers: int) -> list:
         os.close(fd)
 
     try:
-        for _ in range(min(workers, len(tasks))):
+        for _ in range(min(workers, len(tasks)) - 1):
             result_r, result_w = os.pipe()
             fds |= {result_r, result_w}
             pid = os.fork()
@@ -964,14 +999,15 @@ def _run_forked(tasks: list, workers: int) -> list:
                 _serve(tasks, task_r, result_w, fds - {task_r, result_w})
             close(result_w)
             children[pid] = result_r
-        close(task_r)
-        try:
-            for i in range(len(tasks)):
-                os.write(task_w, i.to_bytes(4, "little"))
-        except BrokenPipeError:
-            pass  # every child is gone; its missing result raises below
-        close(task_w)
+        os.set_blocking(task_w, False)
         parts = {}
+        for i in range(len(tasks)):
+            try:
+                os.write(task_w, i.to_bytes(4, "little"))
+            except BlockingIOError:  # the pipe is full
+                parts[i] = _run_partition(tasks[i])
+        close(task_w)
+        parts.update(_take(tasks, task_r))
         for pid, result_r in list(children.items()):
             payload = b"".join(iter(partial(os.read, result_r, 1 << 16), b""))
             close(result_r)

@@ -1,10 +1,14 @@
 """Claim verification runs, enumeration, and the instance ceiling."""
 
+import contextlib
 import dataclasses
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
+from collections import Counter
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -274,7 +278,7 @@ def test_pool_never_outnumbers_partitions(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     report = verify_prop_regular(SMALL, workers=10**6)
-    assert len(forked) == 7  # one child per partition, weights 2..8
+    assert len(forked) == 6  # 7 partitions, weights 2..8: the caller runs one share
     assert report.instances_checked == 621
 
 
@@ -297,12 +301,17 @@ def _assert_no_child_left():
 def test_forked_run_reraises_typed_errors_and_reaps(monkeypatch):
     assert verify_prop_regular(SMALL, workers=2).instances_checked == 621
     _assert_no_child_left()
+    caller = os.getpid()
     # CeilingExceededError takes three arguments, so it has to pickle by them.
     for error in (DomainError("partition 5 is undefined"), CeilingExceededError("series order", 7, 5)):
+        paused = []
 
-        def fail(first, error=error):
-            if first == 5:
-                raise error
+        def fail(first, error=error, paused=paused):
+            if os.getpid() != caller:
+                raise error  # in the child, so it crosses the result pipe
+            if not paused:
+                paused.append(first)
+                time.sleep(0.2)  # the child takes a partition meanwhile
 
         _hook_partitions(monkeypatch, "prop-regular", fail)
         with pytest.raises(type(error)) as raised:
@@ -313,13 +322,86 @@ def test_forked_run_reraises_typed_errors_and_reaps(monkeypatch):
 
 
 def test_forked_run_raises_when_a_child_dies(monkeypatch):
+    caller = os.getpid()
+    paused = []
+
     def crash(first):
-        if first == 5:
+        if os.getpid() != caller:
             os._exit(3)
+        if not paused:
+            paused.append(first)
+            time.sleep(0.2)  # the child takes a partition meanwhile
 
     _hook_partitions(monkeypatch, "prop-regular", crash)
     with pytest.raises(RuntimeError, match="status 3 and no result"):
         verify_prop_regular(SMALL, workers=2)
+    _assert_no_child_left()
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in this process if the block runs longer than seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_forked_run_queues_more_tasks_than_a_pipe_holds(monkeypatch):
+    # 20,000 task numbers of 4 bytes overfill a 64 KiB pipe while the child
+    # dawdles, so the caller runs tasks it cannot queue.
+    caller = os.getpid()
+
+    def run(task):
+        if os.getpid() != caller:
+            time.sleep(0.1)
+        return task, os.getpid()
+
+    monkeypatch.setattr(verify, "_run_partition", run)
+    with _deadline(30):
+        parts = verify._run_forked(list(range(20_000)), 2)
+    assert [task for task, _pid in parts] == list(range(20_000))
+    assert Counter(pid for _task, pid in parts)[caller] > 19_000
+    _assert_no_child_left()
+
+
+def test_forked_run_with_a_killed_child_raises_and_does_not_hang(monkeypatch):
+    caller = os.getpid()
+
+    paused = []
+
+    def run(task):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if not paused:
+            paused.append(task)
+            time.sleep(0.5)  # the child takes a task meanwhile
+        return task
+
+    monkeypatch.setattr(verify, "_run_partition", run)
+    with _deadline(30), pytest.raises(RuntimeError, match="no result"):
+        verify._run_forked(list(range(20_000)), 2)
+    _assert_no_child_left()
+
+
+def test_forked_run_error_in_the_caller_kills_and_reaps_the_child(monkeypatch):
+    caller = os.getpid()
+
+    def run(task):
+        if os.getpid() == caller:
+            raise DomainError(f"task {task} is undefined")
+        time.sleep(10)  # a child outlives the run unless it is killed
+
+    monkeypatch.setattr(verify, "_run_partition", run)
+    with _deadline(30), pytest.raises(DomainError, match="is undefined"):
+        verify._run_forked([0, 1], 2)
     _assert_no_child_left()
 
 
@@ -476,13 +558,20 @@ def test_degree_universe_tables_match_naive_or():
         assert codim_le[-1] == (1 << len(universe.entries)) - 1
 
 
-def test_no_universe_built_before_the_pool_forks():
+def test_no_universe_built_before_the_pool_forks(monkeypatch):
+    real_fork = os.fork
+    at_fork = []
+
+    def counting_fork():
+        at_fork.append((verify._degree_universe.cache_info().currsize, len(verify._match_cache)))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
     verify._degree_universe.cache_clear()
     verify._match_cache.clear()
     report = verify_prop_regular(SearchBounds(2, 4, 6, 12), workers=2)
     assert report.instances_checked > 0
-    assert verify._degree_universe.cache_info().currsize == 0
-    assert verify._match_cache == {}
+    assert at_fork == [(0, 0)]
 
 
 # Tiny windows whose raw product, tuples x multisets, exceeds the ceiling given.

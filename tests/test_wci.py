@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from itertools import combinations, combinations_with_replacement, product
 
 import pytest
@@ -479,7 +480,7 @@ def test_degree_table_masks_match_oracle():
         assert sorted(ws for ws, *_ in nodes) == sorted(
             ws for first in values for ws in verify._tuples_with_first(first, values, 1, max_vars)
         )
-        for ws, classes, rows, series in nodes:
+        for ws, classes, rows, series, *_carried in nodes:
             tables += 1
             assert classes == WeightClasses.from_weights(ws)
             assert series == hilbert_series((), ws, upto)
@@ -501,6 +502,23 @@ def test_degree_table_masks_match_oracle():
     assert tables > 3_500 and rows_seen > 30_000 and single_rows > 20_000
 
 
+def test_walk_carries_well_formedness_and_lcms():
+    # Every node of both family claims' walks over weights <= 8 and at most 5
+    # variables: the facts carried from parent to child against the one-shot
+    # values.
+    window = SearchBounds(max_codim=1, max_vars=5, max_weight=8, max_degree=16)
+    verdicts = Counter()
+    for claim in ("nonvanishing", "hypersurface"):
+        spec, values, universe_key = verify._domain(claim, window, None)
+        universe = verify._degree_universe(*universe_key)
+        for node in _walk(universe, values, spec.min_len, window.max_vars):
+            assert node.well_formed == space_well_formed(node.classes), node.weights
+            pairwise = math.lcm(*(math.gcd(x, y) for x, y in combinations(node.weights, 2)))
+            assert (node.gcd_lcm, node.lcm) == (pairwise, math.lcm(*node.weights)), node.weights
+            verdicts[node.well_formed] += 1
+    assert verdicts[True] > 1_000 and verdicts[False] > 100
+
+
 def _mask_indices(universe, weights, rows, alive):
     """{entry: index} and the smooth entries of the geometric families among
     alive, from the family claims' masks over a walk node's rows."""
@@ -515,7 +533,7 @@ def test_hypersurface_masks_match_per_family_predicates():
     upto = 40
     universe = verify._degree_universe(1, upto, 1, 10)
     families = passing = 0
-    for _ws, weights, table, _series in _walk(universe, list(range(10, 0, -1)), 2, 5):
+    for _ws, weights, table, *_rest in _walk(universe, list(range(10, 0, -1)), 2, 5):
         expected = {}
         for f in range(1, upto + 1):
             if weights.multiplicity(f):
@@ -541,7 +559,7 @@ def test_nonvanishing_masks_match_per_family_predicates():
     universe = verify._degree_universe(3, upto, 1, 6)
     checked = by_starved = by_q1 = 0
     verdicts = set()
-    for _ws, weights, table, _series in _walk(universe, list(range(6, 0, -1)), 2, 5):
+    for _ws, weights, table, *_rest in _walk(universe, list(range(6, 0, -1)), 2, 5):
         alive = universe.codim_le[min(3, weights.total - 1)]
         for v in weights.values():
             alive &= universe.without[v]
@@ -592,7 +610,7 @@ def test_hypersurface_base_locus_bits_match_base_locus():
     universe = verify._degree_universe(1, upto, 1, 8)
     verdicts = {True: 0, False: 0}
     gorenstein = above = spared = 0  # ell over max_degree; a hit that B spares
-    for ws, weights, table, _series in _walk(universe, list(range(8, 0, -1)), 2, 5):
+    for ws, weights, table, *_rest in _walk(universe, list(range(8, 0, -1)), 2, 5):
         if not space_well_formed(weights):
             continue
         index, _smooth = _mask_indices(universe, weights, table, universe.codim_le[1])

@@ -34,7 +34,7 @@ MUTANTS = [
     (
         "nonvanishing without the space_well_formed prune",
         "src/wcikit/verify.py",
-        "        if not space_well_formed(classes):\n"
+        "        if not well_formed:\n"
         "            continue\n"
         "        sum_a = sum(weights)\n",
         "        sum_a = sum(weights)\n",
@@ -204,8 +204,8 @@ MUTANTS = [
     (
         "condition (i) read at [k - 1]",
         "src/wcikit/verify.py",
-        "_closure(1, g, universe.full)), k)",
-        "_closure(1, g, universe.full)), k - 1)",
+        "_ladder(universe, universe.multiples[g]), k)",
+        "_ladder(universe, universe.multiples[g]), k - 1)",
         [
             "tests/test_wci.py::test_hypersurface_masks_match_per_family_predicates",
             "tests/test_wci.py::test_nonvanishing_masks_match_per_family_predicates",
@@ -291,6 +291,26 @@ MUTANTS = [
         ],
     ),
     (
+        "carried space well-formedness bound n - 1",
+        "src/wcikit/verify.py",
+        "well_formed = top <= len(weights) - 2",
+        "well_formed = top <= len(weights) - 1",
+        [
+            "tests/test_wci.py::test_walk_carries_well_formedness_and_lcms",
+            "tests/test_verify.py::test_family_claims_match_naive_walk",
+        ],
+    ),
+    (
+        "carried pairwise gcd drops the repeated value",
+        "src/wcikit/verify.py",
+        "for v, _m in classes))",
+        "for v, _m in classes if v != a))",
+        [
+            "tests/test_wci.py::test_walk_carries_well_formedness_and_lcms",
+            "tests/test_verify.py::test_family_claims_match_naive_walk",
+        ],
+    ),
+    (
         "one-monomial test ignores a doubled weight",
         "src/wcikit/wci.py",
         "if coords.count(v) == 1:",
@@ -354,6 +374,7 @@ MUTANTS = [
         [
             "tests/test_verify.py::test_forked_run_reraises_typed_errors_and_reaps",
             "tests/test_verify.py::test_forked_run_raises_when_a_child_dies",
+            "tests/test_verify.py::test_forked_run_error_in_the_caller_kills_and_reaps_the_child",
         ],
     ),
     (
@@ -362,6 +383,23 @@ MUTANTS = [
         "            if not payload:\n",
         "            if not payload and False:\n",
         ["tests/test_verify.py::test_forked_run_raises_when_a_child_dies"],
+    ),
+    (
+        "forked run's caller discards its own results",
+        "src/wcikit/verify.py",
+        "        parts.update(_take(tasks, task_r))\n",
+        "        _take(tasks, task_r)\n",
+        [
+            "tests/test_verify.py::test_reports_deterministic_across_worker_counts",
+            "tests/test_verify.py::test_forked_run_queues_more_tasks_than_a_pipe_holds",
+        ],
+    ),
+    (
+        "forked run queues task numbers with blocking writes",
+        "src/wcikit/verify.py",
+        "        os.set_blocking(task_w, False)\n",
+        "",
+        ["tests/test_verify.py::test_forked_run_with_a_killed_child_raises_and_does_not_hang"],
     ),
 ]
 
