@@ -7,6 +7,9 @@ otherwise the same coefficient is still returned but flagged as formal.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import accumulate
+
 from .errors import CeilingExceededError, UsageError
 from .wci import WciFamily, _geometry
 
@@ -20,15 +23,18 @@ def series_coefficients(degrees, weights, upto: int) -> list[int]:
         raise UsageError(f"series order must be nonnegative, got {upto}")
     if upto > _MAX_SERIES_ORDER:
         raise CeilingExceededError("series order", upto, _MAX_SERIES_ORDER)
-    coeffs = [0] * (upto + 1)
-    coeffs[0] = 1
-    for a in weights:  # multiply by 1/(1-t^a): running prefix sums
-        for i in range(a, upto + 1):
-            coeffs[i] += coeffs[i - a]
-    for d in degrees:  # multiply by (1-t^d), safely in place from the top
-        for i in range(upto, d - 1, -1):
-            coeffs[i] -= coeffs[i - d]
+    coeffs = reduce(_divide, weights, [1] + [0] * upto)
+    for d in degrees:  # multiply by (1-t^d)
+        coeffs[d:] = [x - y for x, y in zip(coeffs[d:], coeffs)]
     return coeffs
+
+
+def _divide(series: list[int], a: int) -> list[int]:
+    """series times 1/(1 - t^a): a prefix sum along each residue of a."""
+    out = series[:]
+    for r in range(min(a, len(out))):
+        out[r::a] = accumulate(out[r::a])
+    return out
 
 
 def _check_k(k) -> None:

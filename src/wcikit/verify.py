@@ -56,13 +56,14 @@ from collections import Counter
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, chain, combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from time import perf_counter
 from typing import NamedTuple, NoReturn
 
 from . import hilbert
 from .arith import _repr_over, frobenius, is_prime
 from .errors import BoundsExceededError, CeilingExceededError, UsageError
+from .hilbert import _divide
 from .pairs import Pair, _encode_run_length, encode_sides, is_regular
 from .wci import (
     WciFamily,
@@ -566,14 +567,6 @@ def _outside(classes: WeightClasses, wmask: int) -> tuple[tuple[int, ...], tuple
     return tuple(v for v, _ in out), tuple(m for _, m in out)
 
 
-def _divide(series: list[int], a: int) -> list[int]:
-    """series times 1/(1 - t^a): a prefix sum along each residue of a."""
-    out = series[:]
-    for r in range(min(a, len(out))):
-        out[r::a] = accumulate(out[r::a])
-    return out
-
-
 def _stratum_masks(universe: _Universe, classes: WeightClasses, rows: tuple, alive: int):
     """(well_formed, failed, pending) for the entries in alive, as families
     over classes, from the rows of their walk node (`_family_tuples`).
@@ -593,7 +586,8 @@ def _stratum_masks(universe: _Universe, classes: WeightClasses, rows: tuple, ali
       needs k outside coordinates v, with multiplicity, with f - v in R_W.  At
       c >= 2 an entry failing Q1 fails the row when it holds a degree d that
       is neither in R_W nor at v above it for an outside class v: such a d is
-      left over in every Q2 attempt, with no class available.
+      not in rep, so it is left over in the Q2 selection with no class
+      available.
     - pending: per row, the entries of codim >= 2 failing Q1 there that no
       earlier row ruled out, as (row, mask) pairs; `_stratum_outcome`
       decides them.

@@ -167,6 +167,11 @@ def _is_cone(degrees, weights: WeightClasses) -> bool:
 # each further value (111 MB at 16), so more are refused before any row is built.
 _MAX_DISTINCT_WEIGHTS = 16
 
+# The Q2 union bound walks the subsets of a stratum's leftover degrees, 2^t of
+# them when it holds (3.8 s at t = 22 on Python 3.11, 2 vCPUs), so more are
+# refused before the search.
+_MAX_LEFTOVER_DEGREES = 20
+
 
 # Small, because a table has a row per value subset (4,095 rows, 1.8 MB, at 12
 # distinct values), and enough, because `verify.enumerate_instances` walks every
@@ -243,15 +248,12 @@ def _excess(degrees, W: tuple[int, ...], k: int, coords: tuple[int, ...]) -> int
 
 # -- Q2 selection search --------------------------------------------------------
 #
-# Q2 asks, for the degrees left over after l pure ones, for sets S_j of exactly
-# r = k - l outside coordinates (drawn from the availability set E_j) with
-# |union over j in J of S_j| >= r + |J| - 1 for every nonempty J.  That holds
-# iff the E_j themselves meet the bound (`_selection_exists`).
-#
-# Only the largest l, min(rho - 1, #rep), needs trying.  Moving one more
-# representable degree from the leftover to the pure ones lowers r by one: the
-# union bound of each remaining J drops by one and the J holding that degree
-# are gone, so availability sets that pass the bound at l pass it at l + 1.
+# Q2 is asked only on a stratum where fewer than rho = min(c, k) degrees are
+# representable over W, so every representable degree is pure (l = #rep).  It
+# asks, for the degrees left over, for sets S_j of exactly r = k - l outside
+# coordinates (drawn from the availability set E_j) with |union over j in J of
+# S_j| >= r + |J| - 1 for every nonempty J.  That holds iff the E_j themselves
+# meet the bound (`_selection_exists`).
 
 
 def _union_violation(r: int, masks, mults: tuple[int, ...]):
@@ -320,14 +322,6 @@ class QsReport:
         return {"verdict": self.verdict, "strata": [s.as_dict() for s in self.strata]}
 
 
-def _leftover(degrees: tuple[int, ...], taken) -> list[int]:
-    """The degrees, in order, less one occurrence of each taken degree."""
-    left = list(degrees)
-    for d in taken:
-        left.remove(d)
-    return left
-
-
 def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool):
     """Classify one distinct-value stratum (k coordinates; outside classes of
     values outside and multiplicities mults) as Q1 / Q2 / FAIL."""
@@ -335,45 +329,36 @@ def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool):
     rep = _rep(degrees, W)
     if len(rep) >= rho:
         return "Q1", ({"degrees": rep[:rho]} if detailed else {})
-
-    def avail_mask(d: int) -> int:
-        """The outside classes v with d - v >= 0 representable over W."""
-        mask = 0
-        for b, v in enumerate(outside):
-            if d >= v and _repr_over(d - v, W):
-                mask |= 1 << b
-        return mask
-
-    mask_of = {d: avail_mask(d) for d in set(degrees)}
-    l = min(rho - 1, len(rep))
-    r = k - l
-    # each multiset of l pure degrees once, the most of the largest first
-    for pure in dict.fromkeys(combinations(rep, l)):
-        leftover = _leftover(degrees, pure)
-        if _selection_exists(r, tuple(sorted(mask_of[d] for d in leftover)), mults):
-            if not detailed:
-                return "Q2", {}
-            witness = {
-                "l": l,
-                "pure_degrees": list(pure),
-                "availability": [
-                    {
-                        "degree": d,
-                        "classes": [v for b, v in enumerate(outside) if mask_of[d] >> b & 1],
-                    }
-                    for d in sorted(set(leftover), reverse=True)
-                ],
-            }
-            return "Q2", witness
+    leftover = [d for d in degrees if d not in rep]
+    if len(leftover) > _MAX_LEFTOVER_DEGREES:
+        raise CeilingExceededError("Q2 leftover degrees", len(leftover), _MAX_LEFTOVER_DEGREES)
+    # per leftover degree d, the outside classes v with d - v >= 0 representable over W
+    mask_of = {
+        d: sum(1 << b for b, v in enumerate(outside) if d >= v and _repr_over(d - v, W))
+        for d in set(leftover)
+    }
+    r = k - len(rep)
+    if _selection_exists(r, tuple(sorted(mask_of[d] for d in leftover)), mults):
+        if not detailed:
+            return "Q2", {}
+        witness = {
+            "l": len(rep),
+            "pure_degrees": rep,
+            "availability": [
+                {"degree": d, "classes": [v for b, v in enumerate(outside) if mask_of[d] >> b & 1]}
+                for d in sorted(mask_of, reverse=True)
+            ],
+        }
+        return "Q2", witness
     if not detailed:
         return "FAIL", {}
-    return "FAIL", _fail_diagnosis(rho, rep, r, _leftover(degrees, rep[:l]), mask_of, mults)
+    return "FAIL", _fail_diagnosis(rho, rep, r, leftover, mask_of, mults)
 
 
 def _fail_diagnosis(rho, rep, r, leftover, mask_of, mults) -> dict:
-    """Why the first pure choice of `_stratum_outcome`, the first l degrees of
-    rep, fails with this leftover: a degree with no available class, else the
-    first violated union bound."""
+    """Why the Q2 selection of `_stratum_outcome` fails on the leftover degrees,
+    those not representable over W: a degree with no available class, else
+    the first violated union bound."""
     diag = {"rho": rho, "representable": len(rep)}
     starved = [d for d in leftover if mask_of[d] == 0]
     if starved:

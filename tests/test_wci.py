@@ -402,6 +402,22 @@ def test_strata_refuse_too_many_distinct_weights_before_any_row(monkeypatch, cap
         _strata(WeightClasses.from_weights((7, 5, 3, 2)))
 
 
+def test_q2_refuses_too_many_leftover_degrees_before_the_search(monkeypatch, capsys):
+    from wcikit import cli
+
+    # On the stratum of the 2s no degree 3 is representable and each has the
+    # class 1 available, so the union bound holds for all 2^30 subsets.
+    monkeypatch.setattr(wci, "_union_violation", None)
+    assert cli.run(["check", "3^30/2^2,1^40"]) == 2
+    assert "Q2 leftover degrees 30 exceeds ceiling 20" in capsys.readouterr().err
+    monkeypatch.undo()
+    # With no outside class every degree is starved: 20 are answered, 21 refused.
+    assert cli.run(["check", "3^20/2^21"]) == 0
+    assert "quasi_smooth: false" in capsys.readouterr().out
+    assert cli.run(["check", "3^21/2^22"]) == 2
+    assert "Q2 leftover degrees 21 exceeds ceiling 20" in capsys.readouterr().err
+
+
 def _selection_oracle(r, masks, mults):
     """`oracles._q2_subset` on the classes expanded into coordinates."""
     ids, offset = [], 0

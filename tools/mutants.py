@@ -22,6 +22,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# The classical lists of K3 surfaces, read through the family claims' engine.
+HYPERSURFACES = "tests/test_classical.py::test_reid_95_k3_hypersurfaces_through_the_engine"
+CODIM_TWO = "tests/test_classical.py::test_iano_fletcher_84_codim_two_k3s_through_the_engine"
+
 # (name, file, exact old text, new text, tests expected to fail)
 MUTANTS = [
     (
@@ -144,6 +148,8 @@ MUTANTS = [
         [
             "tests/test_wci.py::test_nonvanishing_masks_match_per_family_predicates",
             "tests/test_verify.py::test_family_claims_match_naive_walk",
+            HYPERSURFACES,
+            CODIM_TWO,
         ],
     ),
     (
@@ -154,6 +160,8 @@ MUTANTS = [
         [
             "tests/test_wci.py::test_nonvanishing_masks_match_per_family_predicates",
             "tests/test_verify.py::test_family_claims_match_naive_walk",
+            HYPERSURFACES,
+            CODIM_TWO,
         ],
     ),
     (
@@ -164,6 +172,7 @@ MUTANTS = [
         [
             "tests/test_wci.py::test_nonvanishing_masks_match_per_family_predicates",
             "tests/test_verify.py::test_family_claims_match_naive_walk",
+            CODIM_TWO,
         ],
     ),
     (
@@ -199,7 +208,7 @@ MUTANTS = [
         "src/wcikit/verify.py",
         "q2 &= ~avail[k]",
         "q2 &= ~avail[k - 1]",
-        ["tests/test_wci.py::test_hypersurface_masks_match_per_family_predicates"],
+        ["tests/test_wci.py::test_hypersurface_masks_match_per_family_predicates", HYPERSURFACES],
     ),
     (
         "condition (i) read at [k - 1]",
@@ -220,6 +229,7 @@ MUTANTS = [
         [
             "tests/test_wci.py::test_nonvanishing_masks_match_per_family_predicates",
             "tests/test_verify.py::test_family_claims_match_naive_walk",
+            CODIM_TWO,
         ],
     ),
     (
@@ -347,17 +357,33 @@ MUTANTS = [
             "tests/test_wci.py::test_selection_search_matches_brute_force",
             "tests/test_wci.py::test_selection_exists_matches_brute_force_exhaustively",
             "tests/test_wci.py::test_reduction_matches_oracle_randomized",
+            CODIM_TWO,
         ],
     ),
     (
-        "Q2 tried one pure degree short",
+        "Q2 selection asks one coordinate more",
         "src/wcikit/wci.py",
-        "    l = min(rho - 1, len(rep))\n",
-        "    l = max(min(rho - 1, len(rep)) - 1, 0)\n",
+        "    r = k - len(rep)\n",
+        "    r = k - len(rep) + 1\n",
         [
             "tests/test_wci.py::test_reduction_matches_oracle_randomized",
             "tests/test_acceptance.py::test_criterion_3_oracle_equivalence",
+            CODIM_TWO,
         ],
+    ),
+    (
+        "Q2 leftover ceiling admits one degree more",
+        "src/wcikit/wci.py",
+        "if len(leftover) > _MAX_LEFTOVER_DEGREES:",
+        "if len(leftover) > _MAX_LEFTOVER_DEGREES + 1:",
+        ["tests/test_wci.py::test_q2_refuses_too_many_leftover_degrees_before_the_search"],
+    ),
+    (
+        "series times (1 - t^d) shifted by one",
+        "src/wcikit/hilbert.py",
+        "zip(coeffs[d:], coeffs)]",
+        "zip(coeffs[d:], coeffs[1:])]",
+        ["tests/test_hilbert.py::test_series_matches_inclusion_exclusion"],
     ),
     (
         "forked run keeps stdout buffered across the fork",
