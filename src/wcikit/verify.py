@@ -209,6 +209,12 @@ class _Universe(NamedTuple):
     ladders: dict[int, list[int]]  # [M]: `_ladder(self, M)`, filled as asked
 
 
+# A universe holds a bitset per (position, degree) over every multiset:
+# max_codim x #degrees x #multisets bits, 10^12 at codim 1 and degrees to 10^6,
+# so more than this are refused before anything is built.
+_MAX_UNIVERSE_BITS = 1 << 30
+
+
 @lru_cache(maxsize=16)
 def _degree_universe(max_codim: int, max_degree: int, divisor: int, max_weight: int) -> _Universe:
     """Every multiset of 1..max_codim degrees, multiples of divisor up to
@@ -225,6 +231,9 @@ def _degree_universe(max_codim: int, max_degree: int, divisor: int, max_weight: 
     `_entry_key`.  Each table is set bit by bit in one bytearray per
     (position, degree) and per codim, and read as one int at the end."""
     values = _weight_values(max_degree, divisor=divisor)
+    bits = max_codim * len(values) * _count_tuples(len(values), 1, max_codim)
+    if bits > _MAX_UNIVERSE_BITS:
+        raise CeilingExceededError("degree universe bits", bits, _MAX_UNIVERSE_BITS)
     sizes = range(1, max_codim + 1)
     by_sum: list[list[tuple[int, ...]]] = [[] for _ in range(max_codim * max_degree + 1)]
     for c in sizes:
@@ -469,19 +478,19 @@ def _family_tuples(universe: _Universe, values: list[int], first: int, min_len: 
     appends a weight a no larger than the last one.  Its classes are indexed
     in the order their values first appear, so a class index never changes.
     rows holds one record (wmask, k, g, R, B, ge, W, D) per value subset W
-    without the unit weight: the bits of wmask are W's class indices (the
-    unset ones are the outside classes), k coordinates carry W, g = gcd W, R
-    and B are bitmasks over the degrees 0..max_degree, R the degrees
-    representable over W and B those with exactly one monomial over W's
-    coordinates, ge is `_ladder(universe, R)`, W is ascending and D holds the
-    values of W with multiplicity >= 2.  Over a unit weight every degree is
+    without the unit weight, whose (W, k, g, wmask, D) is W's row of
+    `wci._strata(classes)`: R and B are bitmasks over the degrees
+    0..max_degree, R the degrees representable over W and B those with
+    exactly one monomial over W's coordinates, and ge is
+    `_ladder(universe, R)`.  Over a unit weight every degree is
     representable, so the quasi-smoothness verdict skips those strata and none
     has gcd > 1.  series is that of 1/prod(1 - t^a) to order max_degree.
     The space is well formed iff no n - 1 of its n coordinates have a common
     factor: iff every row with g > 1 has k <= n - 2.
 
     Records are immutable, and a child shares its parent's.  A new value a
-    adds the row {a} and W + {a} per row W, with R closed under adding a and
+    adds the row {a} and W + {a} per row W after the rows, the recurrence of
+    `wci._strata` (which puts them before), with R closed under adding a and
     B by the one-coordinate rule: a degree d has one monomial iff exactly one
     e >= 0 puts d - e*a in R_W, that one in B_W.  A repeated a gives the rows
     holding it k + 1, and on its first repeat B is W less a's B less the d
@@ -558,13 +567,6 @@ def _family_tuples(universe: _Universe, values: list[int], first: int, min_len: 
         if len(weights) < max_len:
             state = weights, classes, rows, series, top, gcd_lcm, lcm
             stack += [(state, i) for i in range(len(values) - 1, j - 1, -1)]
-
-
-def _outside(classes: WeightClasses, wmask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(values, multiplicities) of the classes outside a row, descending: the
-    unset bits of its wmask."""
-    out = [vm for b, vm in enumerate(classes.classes) if not wmask >> b & 1]
-    return tuple(v for v, _ in out), tuple(m for _, m in out)
 
 
 def _stratum_masks(universe: _Universe, classes: WeightClasses, rows: tuple, alive: int):
@@ -650,7 +652,7 @@ def _geometric_families(universe: _Universe, classes: WeightClasses, rows: tuple
     kept = well_formed & ~failed
     for (wmask, k, _g, _R, _B, _ge, W, _D), failing in pending:
         for i in _set_bits(failing & kept):
-            if _stratum_outcome(universe.entries[i], W, k, *_outside(classes, wmask), False)[0] == "FAIL":
+            if _stratum_outcome(universe.entries[i], W, k, classes, wmask, False)[0] == "FAIL":
                 kept ^= 1 << i
     if not kept:
         return {}, 0

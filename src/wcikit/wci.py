@@ -8,17 +8,17 @@ coordinates are interchangeable, and for each W the maximal coordinate subset
 (all coordinates carrying those values) is the binding case.  That reduction
 is validated against an exhaustive all-index-subsets oracle in the test suite.
 
-What a stratum is (k, gcd W, its coordinate weights, the outside classes)
-depends on the weights alone, so `_strata` builds one table of rows per
-`WeightClasses`, kept in a bounded cache; every family predicate reads those
-rows and tests which degrees are representable over W once per stratum, and
-whether one has a single monomial there (`_one_monomial`) by the same
+What a stratum is (k, gcd W, which classes it holds, which of them are
+doubled) depends on the weights alone, so `_strata` builds one table of rows
+per `WeightClasses`, kept in a bounded cache; every family predicate reads
+those rows and tests which degrees are representable over W once per stratum,
+and whether one has a single monomial there (`_one_monomial`) by the same
 representability questions, never by counting monomials.
 
 The verify partitions, which test many degree multisets per weight tuple,
-keep their own degree tables instead: records with bitmasks over all degrees
-up to a bound, extended weight by weight along a prefix walk of the weight
-tuples (`verify._family_tuples`).  Where Q1 fails at codim >= 2 they call
+build the same rows by the same recurrence along a prefix walk of the weight
+tuples (`verify._family_tuples`), each with bitmasks over all degrees up to a
+bound: a degree table.  Where Q1 fails at codim >= 2 they call
 `_stratum_outcome`, the one-shot rule, which asks arith's Apery tables.
 One-shot calls build no degree table (a 12-value weight tuple has 4,095
 rows), and `space_well_formed` reads only the gcds of the values.
@@ -164,7 +164,8 @@ def _is_cone(degrees, weights: WeightClasses) -> bool:
 
 
 # A table has 2^n - 1 rows for n distinct values, and its memory doubles with
-# each further value (111 MB at 16), so more are refused before any row is built.
+# each further value (14 MB at 16, 21 MB when every value repeats), so more are
+# refused before any row is built.
 _MAX_DISTINCT_WEIGHTS = 16
 
 # The Q2 union bound walks the subsets of a stratum's leftover degrees, 2^t of
@@ -173,35 +174,27 @@ _MAX_DISTINCT_WEIGHTS = 16
 _MAX_LEFTOVER_DEGREES = 20
 
 
-# Small, because a table has a row per value subset (4,095 rows, 1.8 MB, at 12
+# Small, because a table has a row per value subset (4,095 rows, 0.8 MB, at 12
 # distinct values), and enough, because `verify.enumerate_instances` walks every
 # family of one weight tuple before it moves to the next.
 @lru_cache(maxsize=16)
 def _strata(weights: WeightClasses) -> tuple:
-    """One row (W, k, g, coords, outside, mults) per nonempty subset W of the
-    distinct values, W an ascending tuple in lex order: k coordinates carry
-    the values in W, g = gcd W, coords are their weights (descending), and
-    outside / mults the values and multiplicities of the other classes
-    (descending)."""
+    """One row (W, k, g, wmask, D) per nonempty subset W of the distinct
+    values, W an ascending tuple in lex order: k coordinates carry the values
+    in W, g = gcd W, the bits of wmask are W's classes in `weights.classes`
+    (the unset ones are the outside classes), and D holds the values of W
+    with multiplicity >= 2, ascending.  The family walk's recurrence
+    (`verify._family_tuples`), class by class from the largest value: {v},
+    then W + {v} for every row W so far, and then those rows."""
     if len(weights.classes) > _MAX_DISTINCT_WEIGHTS:
         raise CeilingExceededError("distinct weights", len(weights.classes), _MAX_DISTINCT_WEIGHTS)
-    classes = weights.classes[::-1]
-    top = len(classes) - 1
-    rows = []
-    root = ((), 0, 0, (), weights.values(), tuple(m for _, m in weights.classes))
-    stack = [(root, 0)]
-    while stack:  # preorder depth-first walk, children pushed last-first
-        row, start = stack.pop()
-        if row[0]:
-            rows.append(row)
-        W, k, g, coords, outside, mults = row
-        for i in range(top, start - 1, -1):
-            # v exceeds every value in W, so the top - i classes above it are
-            # all outside: v is outside[top - i] and heads the new coords.
-            v, m = classes[i]
-            j = top - i
-            rest = outside[:j] + outside[j + 1:], mults[:j] + mults[j + 1:]
-            stack.append(((W + (v,), k + m, math.gcd(g, v), (v,) * m + coords, *rest), i + 1))
+    rows: list[tuple] = []
+    for b, (v, m) in enumerate(weights.classes):
+        # v is below every value of the rows so far, so (v,) + W stays ascending.
+        rows = [
+            ((v,) + W, k + m, math.gcd(v, g), wmask | 1 << b, (v,) * (m > 1) + D)
+            for W, k, g, wmask, D in [((), 0, 0, 0, ())] + rows
+        ] + rows
     return tuple(rows)
 
 
@@ -210,9 +203,9 @@ def _rep(degrees: tuple[int, ...], W: tuple[int, ...]) -> list[int]:
     return [d for d in degrees if _repr_over(d, W)]
 
 
-def _one_monomial(d: int, W: tuple[int, ...], coords: tuple[int, ...]) -> bool:
-    """Has degree d exactly one monomial in coordinates of weights coords, whose
-    distinct values are W (ascending)?
+def _one_monomial(d: int, W: tuple[int, ...], D: tuple[int, ...]) -> bool:
+    """Has degree d exactly one monomial in the coordinates of a stratum whose
+    distinct values are W (ascending), those in D carried by two or more?
 
     Decided on the distinct values, the largest v first: the monomials are
     v^e times one of d - e*v over the rest.  Two coordinates of weight v give
@@ -221,7 +214,7 @@ def _one_monomial(d: int, W: tuple[int, ...], coords: tuple[int, ...]) -> bool:
     question moves to that remainder over the rest."""
     while W:
         v, rest = W[-1], W[:-1]
-        if coords.count(v) == 1:  # the least e leaving a remainder representable over the rest
+        if v not in D:  # the least e leaving a remainder representable over the rest
             if rest:
                 e = next((e for e in range(d // v + 1) if _repr_over(d - e * v, rest)), None)
             else:
@@ -235,13 +228,14 @@ def _one_monomial(d: int, W: tuple[int, ...], coords: tuple[int, ...]) -> bool:
     return d == 0
 
 
-def _excess(degrees, W: tuple[int, ...], k: int, coords: tuple[int, ...]) -> int | None:
+def _excess(degrees, W: tuple[int, ...], k: int, D: tuple[int, ...]) -> int | None:
     """Dimension excess (k - 1) - #degrees representable over W of the maximal
-    stratum with k coordinates of weights coords, or None when a general member
-    misses it: too many degrees cut it, or one restricts to a single monomial."""
+    stratum with k coordinates, those of the values in D two or more each, or
+    None when a general member misses it: too many degrees cut it, or one
+    restricts to a single monomial."""
     rep = _rep(degrees, W)
     excess = (k - 1) - len(rep)
-    if excess < 0 or any(_one_monomial(d, W, coords) for d in rep):
+    if excess < 0 or any(_one_monomial(d, W, D) for d in rep):
         return None
     return excess
 
@@ -322,9 +316,9 @@ class QsReport:
         return {"verdict": self.verdict, "strata": [s.as_dict() for s in self.strata]}
 
 
-def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool):
-    """Classify one distinct-value stratum (k coordinates; outside classes of
-    values outside and multiplicities mults) as Q1 / Q2 / FAIL."""
+def _stratum_outcome(degrees, W, k, classes: WeightClasses, wmask: int, detailed: bool):
+    """Classify one distinct-value stratum (k coordinates; the outside classes
+    are those of classes whose bits wmask leaves unset) as Q1 / Q2 / FAIL."""
     rho = min(len(degrees), k)
     rep = _rep(degrees, W)
     if len(rep) >= rho:
@@ -332,9 +326,11 @@ def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool):
     leftover = [d for d in degrees if d not in rep]
     if len(leftover) > _MAX_LEFTOVER_DEGREES:
         raise CeilingExceededError("Q2 leftover degrees", len(leftover), _MAX_LEFTOVER_DEGREES)
+    outside = [vm for b, vm in enumerate(classes.classes) if not wmask >> b & 1]
+    values, mults = [v for v, _m in outside], tuple(m for _v, m in outside)
     # per leftover degree d, the outside classes v with d - v >= 0 representable over W
     mask_of = {
-        d: sum(1 << b for b, v in enumerate(outside) if d >= v and _repr_over(d - v, W))
+        d: sum(1 << b for b, v in enumerate(values) if d >= v and _repr_over(d - v, W))
         for d in set(leftover)
     }
     r = k - len(rep)
@@ -345,7 +341,7 @@ def _stratum_outcome(degrees, W, k, outside, mults, detailed: bool):
             "l": len(rep),
             "pure_degrees": rep,
             "availability": [
-                {"degree": d, "classes": [v for b, v in enumerate(outside) if mask_of[d] >> b & 1]}
+                {"degree": d, "classes": [v for b, v in enumerate(values) if mask_of[d] >> b & 1]}
                 for d in sorted(mask_of, reverse=True)
             ],
         }
@@ -383,8 +379,8 @@ def _qs_walk(degrees, weights: WeightClasses, detailed: bool):
         raise DomainError("quasi-smoothness undefined for a linear cone")
     rows = _strata(weights) if degrees else ()
     return (
-        (W, k) + _stratum_outcome(degrees, W, k, outside, mults, detailed)
-        for W, k, _g, _coords, outside, mults in rows
+        (W, k) + _stratum_outcome(degrees, W, k, weights, wmask, detailed)
+        for W, k, _g, wmask, _D in rows
         if detailed or W[0] != 1
     )
 
@@ -409,10 +405,10 @@ def _singular_strata(degrees, weights: WeightClasses):
     """Rows (W, gcd, excess, condition (i) holds) per value subset W with gcd > 1,
     lex order; excess as in _excess, condition (i) that at least k degrees are
     divisible by the gcd."""
-    for W, k, g, coords, _outside, _mults in _strata(weights):
+    for W, k, g, _wmask, D in _strata(weights):
         if g > 1:
             cond_i = sum(1 for d in degrees if d % g == 0) >= k
-            yield W, g, _excess(degrees, W, k, coords), cond_i
+            yield W, g, _excess(degrees, W, k, D), cond_i
 
 
 def _well_formed(rows, dim: int) -> bool:
@@ -449,9 +445,9 @@ def stratum_meets(family: WciFamily, value_subset) -> bool:
     W = tuple(sorted(set(value_subset)))
     if not W:
         raise UsageError("value subset must be nonempty")
-    for row_W, k, _g, coords, _outside, _mults in _strata(family.weights):
+    for row_W, k, _g, _wmask, D in _strata(family.weights):
         if row_W == W:
-            return _excess(family.degrees, W, k, coords) is not None
+            return _excess(family.degrees, W, k, D) is not None
     unknown = min(set(W) - set(family.weights.values()))
     raise UsageError(f"value {unknown} is not a weight of this family")
 
@@ -611,8 +607,8 @@ def base_locus(family: WciFamily, ell: int) -> list[BaseLocusComponent]:
 def _base_locus(family: WciFamily, ell: int) -> list[BaseLocusComponent]:
     """`base_locus` for a family already known to be geometric and ell >= 1."""
     hits = []
-    for W, k, _g, coords, _outside, _mults in _strata(family.weights):
-        if not _repr_over(ell, W) and _excess(family.degrees, W, k, coords) is not None:
+    for W, k, _g, _wmask, D in _strata(family.weights):
+        if not _repr_over(ell, W) and _excess(family.degrees, W, k, D) is not None:
             hits.append(W)
     components = []
     for W in hits:

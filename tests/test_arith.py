@@ -26,6 +26,16 @@ def test_is_prime_small():
     assert not is_prime(0)
 
 
+def test_is_prime_refuses_candidates_over_ceiling():
+    assert is_prime(999_999_999_989)  # the largest prime below the ceiling
+    assert not is_prime(arith._MAX_PRIME_CANDIDATE)
+    with pytest.raises(CeilingExceededError) as info:
+        is_prime(arith._MAX_PRIME_CANDIDATE + 1)
+    assert (info.value.what, info.value.value, info.value.ceiling) == (
+        "prime candidate", 10**12 + 1, 10**12
+    )
+
+
 @given(
     d=st.integers(min_value=0, max_value=60),
     weights=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6),

@@ -114,6 +114,16 @@ def test_pair_assert_and_errors(capsys):
     assert run_cli(["pair", "6//2"], capsys)[0] == 2
 
 
+def test_prime_over_ceiling_exits_2(capsys):
+    # Trial division on 10^18 + 3 would run for minutes; both options refuse it.
+    big = str(10**18 + 3)
+    assert run_cli(["pair", "6/2,3", "--split", big], capsys)[0] == 2
+    window = ["--max-codim", "1", "--max-vars", "2", "--max-weight", "4", "--max-degree", "4"]
+    code, out, err = run_cli(["verify", "lemma-qdiv", "--q", big, *window], capsys)
+    assert (code, out) == (2, "")
+    assert f"prime candidate {big} exceeds ceiling 1000000000000" in err
+
+
 # -- frobenius ------------------------------------------------------------------
 
 

@@ -660,6 +660,32 @@ def test_ceiling_refuses_oversized_windows():
     assert exc.value.ceiling == instance_ceiling()
 
 
+def test_degree_universe_refuses_gigabyte_windows_before_building(monkeypatch):
+    # Within the instance gate (estimate 3,000,000), but its universe would
+    # hold a bitset per degree over 10^6 multisets: 10^12 bits.
+    window = SearchBounds(max_codim=1, max_vars=2, max_weight=2, max_degree=10**6)
+    verify._degree_universe.cache_clear()
+    monkeypatch.setattr(verify, "combinations_with_replacement", None)  # every build needs it
+    for workers in (1, 2):
+        start = time.perf_counter()
+        with pytest.raises(CeilingExceededError) as raised:
+            verify_nonvanishing(window, workers=workers)
+        assert time.perf_counter() - start < 1
+        assert (raised.value.what, raised.value.value, raised.value.ceiling) == (
+            "degree universe bits", 10**12, 2**30
+        )
+        _assert_no_child_left()
+    with pytest.raises(TypeError):  # the largest frontier window, 5.2 * 10^7 bits, is built
+        verify._degree_universe(4, 48, 1, 16)
+    monkeypatch.undo()
+    bits = 2 * 10 * 65  # 2 positions x 10 degrees x 65 multisets
+    monkeypatch.setattr(verify, "_MAX_UNIVERSE_BITS", bits)
+    assert len(verify._degree_universe(2, 10, 1, 3).entries) == 65
+    monkeypatch.setattr(verify, "_MAX_UNIVERSE_BITS", bits - 1)
+    with pytest.raises(CeilingExceededError):
+        verify._degree_universe(2, 10, 1, 4)
+
+
 def test_ceiling_env_override(monkeypatch):
     monkeypatch.setenv("WCI_INSTANCE_CEILING", "10")
     assert instance_ceiling() == 10

@@ -372,8 +372,16 @@ def test_repr_over_matches_oracle_on_every_stratum():
     gcd_strata = 0
     for units, max_weight in [(0, 12)] * 40 + [(1, 8)] * 20:
         ds, ws = _random_family(rng, units, max_weight)
-        table = _strata(WciFamily.of(ds, ws).weights)
-        assert list(table) == oracles.strata(ws), ws
+        classes = WciFamily.of(ds, ws).weights
+        table = _strata(classes)
+        expected = []
+        for W, k, g, coords, outside, mults in oracles.strata(ws):
+            wmask = sum(1 << b for b, (v, _m) in enumerate(classes.classes) if v in W)
+            D = tuple(v for v in W if coords.count(v) > 1)
+            expected.append((W, k, g, wmask, D))
+            unset = [vm for b, vm in enumerate(classes.classes) if not wmask >> b & 1]
+            assert unset == list(zip(outside, mults)), (ws, W)
+        assert list(table) == expected, ws
         for W, *_row in table:
             gcd_strata += math.gcd(*W) > 1
             for d in range(61):
@@ -475,9 +483,10 @@ def test_one_monomial_matches_oracle_exhaustively():
         for W in combinations(range(1, 8), size):
             for mults in product((1, 2), repeat=size):
                 coords = tuple(v for v, m in sorted(zip(W, mults), reverse=True) for _ in range(m))
+                D = tuple(v for v, m in zip(W, mults) if m > 1)
                 for d in range(61):
                     expected = oracles.monomial_count(d, coords) == 1
-                    assert wci._one_monomial(d, W, coords) == expected, (d, coords)
+                    assert wci._one_monomial(d, W, D) == expected, (d, coords)
                     checked += 1
                     single += expected
     assert checked == 57_218 and 0 < single < checked
@@ -503,11 +512,8 @@ def test_degree_table_masks_match_oracle():
             expected = {row[0]: row for row in _strata(classes) if row[0][0] != 1}
             assert sorted(row[6] for row in rows) == sorted(expected), ws
             for wmask, k, g, R, B, ge, W, D in rows:
-                _W, k_, g_, coords, outside, mults = expected[W]
-                assert (k, g) == (k_, g_)
-                assert [v for b, (v, _m) in enumerate(classes.classes) if wmask >> b & 1] == list(W[::-1])
-                assert verify._outside(classes, wmask) == (outside, mults)
-                assert D == tuple(v for v in W if classes.multiplicity(v) > 1)
+                assert (W, k, g, wmask, D) == expected[W]
+                coords = tuple(v for v in W[::-1] for _ in range(classes.multiplicity(v)))
                 assert ge == verify._ladder(universe, R)
                 assert R >> upto + 1 == 0 and B >> upto + 1 == 0
                 for d in range(upto + 1):
@@ -585,12 +591,11 @@ def test_nonvanishing_masks_match_per_family_predicates():
         assert smooth & ~kept == 0
         no_search = well_formed & ~failed
         for (wmask, k, _g, _R, _B, _ge, W, _D), failing in pending:
-            outside, mults = verify._outside(weights, wmask)
             no_search &= ~failing
             for i in verify._set_bits(failing):
                 assert len(universe.entries[i]) >= 2, (universe.entries[i], weights, W)
             for i in verify._set_bits(failing & well_formed & ~failed):
-                outcome = wci._stratum_outcome(universe.entries[i], W, k, outside, mults, False)
+                outcome = wci._stratum_outcome(universe.entries[i], W, k, weights, wmask, False)
                 assert outcome[0] != "Q1", (universe.entries[i], weights, W)
         by_starved += (well_formed & failed).bit_count()
         by_q1 += no_search.bit_count()

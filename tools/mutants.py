@@ -185,16 +185,43 @@ MUTANTS = [
     (
         "stratum table drops a row",
         "src/wcikit/wci.py",
-        "*rest), i + 1))\n    return tuple(rows)\n",
-        "*rest), i + 1))\n    return tuple(rows[1:])\n",
+        "        ] + rows\n    return tuple(rows)\n",
+        "        ] + rows\n    return tuple(rows[1:])\n",
         ["tests/test_wci.py::test_repr_over_matches_oracle_on_every_stratum"],
     ),
     (
         "stratum table k off by one",
         "src/wcikit/wci.py",
-        "k + m, math.gcd(g, v)",
-        "k + m + 1, math.gcd(g, v)",
+        "k + m, math.gcd(v, g)",
+        "k + m + 1, math.gcd(v, g)",
         ["tests/test_wci.py::test_repr_over_matches_oracle_on_every_stratum"],
+    ),
+    (
+        "stratum table sets a wrong class bit",
+        "src/wcikit/wci.py",
+        "wmask | 1 << b,",
+        "wmask | 1 << len(weights.classes) - 1 - b,",
+        [
+            "tests/test_wci.py::test_repr_over_matches_oracle_on_every_stratum",
+            "tests/test_wci.py::test_degree_table_masks_match_oracle",
+        ],
+    ),
+    (
+        "stratum table marks single values doubled",
+        "src/wcikit/wci.py",
+        "(v,) * (m > 1) + D)",
+        "(v,) * (m > 0) + D)",
+        [
+            "tests/test_wci.py::test_repr_over_matches_oracle_on_every_stratum",
+            "tests/test_wci.py::test_degree_table_masks_match_oracle",
+        ],
+    ),
+    (
+        "Q2 outside classes read from the set bits",
+        "src/wcikit/wci.py",
+        "if not wmask >> b & 1]",
+        "if wmask >> b & 1]",
+        ["tests/test_wci.py::test_nonvanishing_masks_match_per_family_predicates"],
     ),
     (
         "hypersurface well-formedness threshold k > dim",
@@ -323,8 +350,8 @@ MUTANTS = [
     (
         "one-monomial test ignores a doubled weight",
         "src/wcikit/wci.py",
-        "if coords.count(v) == 1:",
-        "if coords.count(v) >= 1:",
+        "if v not in D:",
+        "if True:",
         ["tests/test_wci.py::test_one_monomial_matches_oracle_exhaustively"],
     ),
     (
@@ -333,6 +360,20 @@ MUTANTS = [
         "if len(weights.classes) > _MAX_DISTINCT_WEIGHTS:",
         "if len(weights.classes) > _MAX_DISTINCT_WEIGHTS + 1:",
         ["tests/test_wci.py::test_strata_refuse_too_many_distinct_weights_before_any_row"],
+    ),
+    (
+        "degree universe ceiling admits one bit more",
+        "src/wcikit/verify.py",
+        "if bits > _MAX_UNIVERSE_BITS:",
+        "if bits > _MAX_UNIVERSE_BITS + 1:",
+        ["tests/test_verify.py::test_degree_universe_refuses_gigabyte_windows_before_building"],
+    ),
+    (
+        "prime candidate ceiling admits one candidate more",
+        "src/wcikit/arith.py",
+        "if n > _MAX_PRIME_CANDIDATE:",
+        "if n > _MAX_PRIME_CANDIDATE + 1:",
+        ["tests/test_arith.py::test_is_prime_refuses_candidates_over_ceiling"],
     ),
     (
         "monomial count ceiling admits one target more",
